@@ -13,7 +13,7 @@ per-optimization before/after numbers:
   n=16k workload: a large stable network absorbs one flipped node and
   re-stabilizes over Θ(n) rounds with an O(1) dirty frontier.  Before
   = the gather-based vector frontier (the pre-packing structure,
-  forced via ``_SCALAR_MAX = 0``); after = the scalar small-frontier
+  forced via ``repro.kernels.SCALAR_MAX = 0``); after = the scalar small-frontier
   path.  Rounds/sec both ways.
 * **batch-sweep stepping (headline 2)** — an E1-style group (many
   random starts, one graph) stepped per-trial vs as one ``(k, n)``
@@ -48,7 +48,7 @@ from repro.engine import make_protocol
 from repro.graphs.generators import erdos_renyi_graph, path_graph
 from repro.matching.smm_batch import BatchSMM
 from repro.matching.smm_vectorized import VectorizedSMM
-from repro.mis import sis_vectorized as _sis_vec_module
+from repro import kernels as _kernels_module
 from repro.mis.sis_batch import BatchSIS
 from repro.mis.sis_vectorized import VectorizedSIS
 from repro.parallel import SharedGraphStore, TrialSpec, run_trials
@@ -145,12 +145,12 @@ def _bench_packed_dense(report):
     smm = VectorizedSMM(graph)
 
     def packed_smm():
-        ptr = np.full(n, -1, dtype=smm._dtype)
+        ptr = np.full((1, n), -1, dtype=smm._dtype)  # the (k, n) step at k=1
         rounds = 0
         while True:
             ptr_next, r1, r2, r3 = smm.step(ptr)
             if not (r1.any() or r2.any() or r3.any()):
-                return ptr, rounds
+                return ptr[0], rounds
             ptr, rounds = ptr_next, rounds + 1
 
     (legacy_ptr, legacy_rounds), legacy_s = _best_of(3, legacy_smm)
@@ -172,12 +172,12 @@ def _bench_packed_dense(report):
     sis = VectorizedSIS(graph)
 
     def packed_sis():
-        x = np.zeros(n, dtype=np.uint8)
+        x = np.zeros((1, n), dtype=np.uint8)  # the (k, n) step at k=1
         rounds = 0
         while True:
             x_next = sis.step(x)
             if np.array_equal(x_next, x):
-                return x, rounds
+                return x[0], rounds
             x, rounds = x_next, rounds + 1
 
     (legacy_x, lsr), legacy_sis_s = _best_of(3, legacy_sis)
@@ -221,15 +221,15 @@ def _bench_frontier_recovery(report):
     faulty = stable.copy()
     faulty[n // 2] ^= 1  # one flipped mid-path node
 
-    original_scalar_max = _sis_vec_module._SCALAR_MAX
+    original_scalar_max = _kernels_module.SCALAR_MAX
     try:
         # before: the gather-based vector frontier for every sparse
         # round — the pre-packing active-set structure (conservative:
         # it still benefits from the packed dtypes)
-        _sis_vec_module._SCALAR_MAX = 0
+        _kernels_module.SCALAR_MAX = 0
         before, before_s = _best_of(2, lambda: sis.run(faulty.copy()))
     finally:
-        _sis_vec_module._SCALAR_MAX = original_scalar_max
+        _kernels_module.SCALAR_MAX = original_scalar_max
     after, after_s = _best_of(2, lambda: sis.run(faulty.copy()))
 
     assert before.rounds == after.rounds
@@ -304,18 +304,22 @@ def _bench_batch_sweep(report):
         }
 
     # end-to-end: the same sweep through run_trials with dispatch
-    # on/off — diluted by per-trial decode + legitimacy checking that
-    # both paths pay, recorded so the kernel-level number has context
+    # on/off.  backend="auto" on both sides, so the unbatched side runs
+    # the per-trial vectorized kernel and the batched side the (k, n)
+    # batch kernel; both pay the same per-row decode and legitimacy check
     smm, sis = make_protocol("smm"), make_protocol("sis")
     specs = [
-        TrialSpec("smm", graph, random_configuration(smm, graph, ensure_rng(s)))
-        for s in range(k)
-    ] + [
-        TrialSpec("sis", graph, random_configuration(sis, graph, ensure_rng(s)))
+        TrialSpec(
+            key, graph, random_configuration(protocol, graph, ensure_rng(s)),
+            backend="auto",
+        )
+        for key, protocol in (("smm", smm), ("sis", sis))
         for s in range(k)
     ]
     per_rows, per_s = _best_of(1, lambda: run_trials(specs, batch_sweep=False))
     batch_rows, batch_s = _best_of(1, lambda: run_trials(specs, batch_sweep=True))
+    assert all(row.backend == "vectorized" for row in per_rows)
+    assert all(row.backend == "batch" for row in batch_rows)
     for a, b in zip(per_rows, batch_rows):
         assert a.final == b.final and a.rounds == b.rounds
         assert a.moves_by_rule == b.moves_by_rule
@@ -324,9 +328,10 @@ def _bench_batch_sweep(report):
         "batch_seconds": round(batch_s, 3),
         "speedup": round(per_s / batch_s, 2),
         "note": (
-            "includes per-row decode and legitimacy checking (paid "
-            "identically on both paths), so this dilutes the kernel "
-            "stepping speedup above"
+            "run_trials on backend='auto' specs: per-trial vectorized "
+            "kernel runs vs batch-sweep dispatch through one (k, n) "
+            "run_batch call per protocol; both include per-row decode "
+            "and legitimacy checking"
         ),
     }
     report["batch_sweep"] = section

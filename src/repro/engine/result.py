@@ -73,7 +73,8 @@ class RunResult:
         backend).
     backend:
         Name of the backend that produced this result (``"reference"``,
-        ``"vectorized"``, ``"batch"``, ...).
+        ``"vectorized"``; ``"batch"`` for trials the batch-sweep planner
+        ran as rows of a batch kernel).
     telemetry:
         :class:`~repro.observability.RunTelemetry` when the run was
         made with ``telemetry=True`` (per-round moves by rule, node-type

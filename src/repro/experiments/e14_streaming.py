@@ -52,7 +52,7 @@ def run(
 ) -> ExperimentResult:
     """Stream Poisson schedules into long-lived runs across event rates.
 
-    ``backend="auto"`` (or ``"vectorized"``/``"batch"``) streams on the
+    ``backend="auto"`` (or ``"vectorized"``) streams on the
     vectorized kernels; ``"reference"`` uses the reference engine.  The
     schedule for a given (graph, rate, seed) is identical on both, so
     the table is byte-identical apart from ``events_per_sec``.

@@ -6,8 +6,8 @@ exhaustive sweeps: hundreds).  Stepping them one at a time leaves
 vectorization on the table — the round kernel is embarrassingly
 parallel across runs.  :class:`BatchSMM` holds a ``(k, n)`` pointer
 matrix (one row per run) and advances all non-stabilized rows each
-round with the same CSR-segment operations as the single-run kernel,
-vectorized over the batch axis.
+round through the single-run kernel's ``(k, n)`` round function
+(:meth:`VectorizedSMM.step`).
 
 Equivalence with the single-run kernel (hence, transitively, with the
 reference engine) is pinned by ``tests/test_batch_kernels.py``.
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import StabilizationTimeout
 from repro.graphs.graph import Graph
-from repro.kernels import SMM_NULL, state_dtype
+from repro.kernels import state_dtype
 from repro.matching.smm_vectorized import VectorizedSMM
 
 
@@ -56,20 +56,11 @@ class BatchSMM:
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
-        self.single = VectorizedSMM(graph)  # reused for encode/decode
-        indptr, indices, ids = graph.adjacency_arrays()
+        # the single-run kernel owns the (k, n) round function and the
+        # encode/decode helpers
+        self.single = VectorizedSMM(graph)
         self.n = graph.n
         self._dtype = state_dtype(self.n)
-        self._indices = self.single._indices  # already packed
-        self._row = self.single._row
-        self._arange_n = self.single._arange
-        # reduceat segment boundaries (CSR rows are contiguous along the
-        # entry axis); empty rows are masked explicitly — reduceat on an
-        # empty segment would return the next segment's first element
-        self._seg_empty = indptr[:-1] == indptr[1:]
-        self._seg_starts = (
-            np.minimum(indptr[:-1], indices.size - 1) if indices.size else None
-        )
 
     # ------------------------------------------------------------------
     def encode_batch(self, configs: Sequence) -> np.ndarray:
@@ -86,50 +77,8 @@ class BatchSMM:
         Returns ``(new_ptrs, moved)`` where ``moved`` is a (k,) bool
         array flagging rows in which at least one rule fired.
         """
-        new_ptrs, r1, r2, r3 = self._step_rules(ptrs)
+        new_ptrs, r1, r2, r3 = self.single.step(ptrs)
         return new_ptrs, (r1 | r2 | r3).any(axis=1)
-
-    def _step_rules(
-        self, ptrs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One round, returning the per-rule firing masks as well —
-        ``(new_ptrs, r1, r2, r3)``, each mask (k, n) bool."""
-        k, n = ptrs.shape
-        assert n == self.n
-        indices = self._indices
-        row = self._row
-        sentinel = n
-
-        is_null = ptrs < 0                          # (k, n)
-        if self._seg_starts is None:  # edgeless graph: nothing proposes
-            min_proposer = np.full((k, n), sentinel, dtype=ptrs.dtype)
-            min_null = min_proposer
-        else:
-            neighbor_ptr = ptrs[:, indices]         # (k, E)
-            proposer_entry = neighbor_ptr == row    # (k, E) broadcast row
-            vals = np.where(proposer_entry, indices, sentinel)
-            min_proposer = np.minimum.reduceat(vals, self._seg_starts, axis=1)
-            min_proposer[:, self._seg_empty] = sentinel
-
-            null_entry = neighbor_ptr < 0
-            vals2 = np.where(null_entry, indices, sentinel)
-            min_null = np.minimum.reduceat(vals2, self._seg_starts, axis=1)
-            min_null[:, self._seg_empty] = sentinel
-        has_proposer = min_proposer < sentinel
-        has_null = min_null < sentinel
-
-        r1 = is_null & has_proposer
-        r2 = is_null & ~has_proposer & has_null
-
-        safe_target = np.where(is_null, 0, ptrs)
-        target_ptr = np.take_along_axis(ptrs, safe_target, axis=1)
-        r3 = (~is_null) & (target_ptr >= 0) & (target_ptr != self._arange_n)
-
-        new_ptrs = ptrs.copy()
-        new_ptrs[r1] = min_proposer[r1]
-        new_ptrs[r2] = min_null[r2]
-        new_ptrs[r3] = SMM_NULL
-        return new_ptrs, r1, r2, r3
 
     # ------------------------------------------------------------------
     def run_batch(
@@ -167,7 +116,7 @@ class BatchSMM:
         # on timeouts.
         live = np.arange(k)
         for _ in range(budget):
-            new_sub, r1, r2, r3 = self._step_rules(ptrs[live])
+            new_sub, r1, r2, r3 = self.single.step(ptrs[live])
             moved_sub = (r1 | r2 | r3).any(axis=1)
             if not moved_sub.any():
                 live = live[:0]
@@ -197,110 +146,3 @@ class BatchSMM:
                 result,
             )
         return result
-
-
-# ----------------------------------------------------------------------
-# engine backend adapter
-# ----------------------------------------------------------------------
-def _telemetry_run_batch(protocol, kernel: BatchSMM, ptrs: np.ndarray,
-                         budget: int):
-    """Batch-of-one run with per-round counter and census recording.
-
-    Same loop structure as the reference engine and the single-run
-    kernel's telemetry path (step → zero-fire stabilized break → budget
-    break → apply and count) but stepping through
-    :meth:`BatchSMM._step_rules`, so the batch kernel itself is what
-    telemetry observes.  Returns ``(stabilized, rounds, moves_by_rule,
-    ptrs, recorder)`` with the recorder in its finalize phase.
-    """
-    from repro.observability import TelemetryRecorder
-
-    recorder = TelemetryRecorder(
-        protocol.name, "synchronous", "batch", protocol.rule_names()
-    )
-    recorder.record_census(kernel.single.census(ptrs[0]))
-    recorder.begin_rounds()
-    moves_by_rule = {"R1": 0, "R2": 0, "R3": 0}
-    rounds = 0
-    stabilized = False
-    while True:
-        new_ptrs, r1, r2, r3 = kernel._step_rules(ptrs)
-        c1, c2, c3 = int(r1.sum()), int(r2.sum()), int(r3.sum())
-        if c1 + c2 + c3 == 0:
-            stabilized = True
-            break
-        if rounds >= budget:
-            break
-        ptrs = new_ptrs
-        rounds += 1
-        moves_by_rule["R1"] += c1
-        moves_by_rule["R2"] += c2
-        moves_by_rule["R3"] += c3
-        recorder.on_round(
-            {"R1": c1, "R2": c2, "R3": c3},
-            kernel.n,
-            kernel.single.census(ptrs[0]),
-        )
-    recorder.begin_finalize()
-    return stabilized, rounds, moves_by_rule, ptrs, recorder
-
-
-def run_engine(
-    protocol,
-    graph: Graph,
-    config=None,
-    *,
-    rng=None,
-    max_rounds: Optional[int] = None,
-    record_history: bool = False,
-    raise_on_timeout: bool = False,
-    telemetry: bool = False,
-):
-    """Registered ``("smm", "synchronous", "batch")`` backend.
-
-    Runs a batch of one — useful mainly so the batch kernel sits in the
-    same cross-backend equivalence harness as everything else (E10 and
-    ``tests/test_engine_equivalence.py``); sweeps that want the batch
-    throughput win call :meth:`BatchSMM.run_batch` directly.  With
-    ``telemetry=True`` the run collects per-round rule counters and the
-    Fig. 2 census, byte-identical with the other backends.
-    """
-    from repro.core.executor import _default_round_budget, _resolve_config
-    from repro.engine.result import RunResult
-
-    initial = _resolve_config(protocol, graph, config)
-    kernel = BatchSMM(graph)
-    budget = max_rounds if max_rounds is not None else _default_round_budget(graph)
-    recorder = None
-    if telemetry:
-        stabilized, rounds, moves_by_rule, ptrs, recorder = _telemetry_run_batch(
-            protocol, kernel, kernel.encode_batch([initial]), budget
-        )
-        final = kernel.single.decode(ptrs[0])
-    else:
-        res = kernel.run_batch([initial], max_rounds=budget)
-        stabilized = bool(res.stabilized[0])
-        rounds = int(res.rounds[0])
-        final = kernel.single.decode(res.final_ptr[0])
-        moves_by_rule = {
-            name: int(counts[0]) for name, counts in res.moves_by_rule.items()
-        }
-    result = RunResult(
-        protocol_name=protocol.name,
-        daemon="synchronous",
-        stabilized=stabilized,
-        rounds=rounds,
-        moves=sum(moves_by_rule.values()),
-        moves_by_rule=moves_by_rule,
-        initial=initial,
-        final=final,
-        legitimate=protocol.is_legitimate(graph, final),
-        backend="batch",
-    )
-    if recorder is not None:
-        result.telemetry = recorder.finish()
-    if raise_on_timeout and not result.stabilized:
-        raise StabilizationTimeout(
-            f"{protocol.name} exceeded {budget} synchronous rounds", result
-        )
-    return result

@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.configuration import Configuration
 from repro.errors import StabilizationTimeout
 from repro.graphs.graph import Graph
+from repro.kernels import Observer
 from repro.rng import RngLike, ensure_rng
 from repro.types import NodeId
 
@@ -41,6 +42,10 @@ class VectorResult:
     moves: int
     moves_by_rule: Dict[str, int]
     final_x: np.ndarray
+
+    @property
+    def final_state(self) -> np.ndarray:
+        return self.final_x
 
 
 class VectorizedLuby:
@@ -116,13 +121,16 @@ class VectorizedLuby:
         rng: RngLike = None,
         max_rounds: Optional[int] = None,
         raise_on_timeout: bool = False,
+        observer: Optional[Observer] = None,
     ) -> VectorResult:
         """Iterate rounds until the in-set is an MIS.
 
         Rounds with no winner still consume a draw and count (the
         reference engine's accounting) — see
         :meth:`Protocol.is_quiescent` for why termination cannot be
-        "nobody moved this round".
+        "nobody moved this round".  ``observer`` sees every counted
+        round (:data:`repro.kernels.Observer`; every round is a full
+        scan of ``n`` nodes).
         """
         gen = ensure_rng(rng)
         if config is None:
@@ -143,10 +151,16 @@ class VectorizedLuby:
             draws = gen.random(self.n)
             new_x = self.step(x, draws)
             changed = new_x != x
-            moves_by_rule["R1"] += int((changed & (new_x == 1)).sum())
-            moves_by_rule["R2"] += int((changed & (new_x == 0)).sum())
+            counts = {
+                "R1": int((changed & (new_x == 1)).sum()),
+                "R2": int((changed & (new_x == 0)).sum()),
+            }
             x = new_x
             rounds += 1
+            for name, count in counts.items():
+                moves_by_rule[name] += count
+            if observer is not None:
+                observer(counts, self.n, x)
         else:
             stabilized = self.is_quiescent(x)
 
@@ -165,109 +179,3 @@ class VectorizedLuby:
 
     def independent_set(self, x: np.ndarray) -> frozenset[NodeId]:
         return frozenset(int(self._ids[k]) for k in range(self.n) if x[k] == 1)
-
-
-# ----------------------------------------------------------------------
-# engine backend adapter
-# ----------------------------------------------------------------------
-def _telemetry_run(protocol, kernel: VectorizedLuby, x: np.ndarray,
-                   budget: int, rng):
-    """Luby run with per-round counter recording.
-
-    Consumes the generator draw-for-draw like :meth:`VectorizedLuby.run`
-    (quiescence check *before* drawing, one ``random(n)`` per round), so
-    trajectories — and hence the per-round counters — are bit-identical
-    with both the plain kernel path and the reference engine.  Returns
-    ``(VectorResult, recorder)`` with the recorder in its finalize
-    phase.
-    """
-    from repro.observability import TelemetryRecorder
-
-    recorder = TelemetryRecorder(
-        protocol.name, "synchronous", "vectorized", protocol.rule_names()
-    )
-    recorder.begin_rounds()
-    gen = ensure_rng(rng)
-    moves_by_rule = {"R1": 0, "R2": 0}
-    rounds = 0
-    stabilized = False
-    while rounds < budget:
-        if kernel.is_quiescent(x):
-            stabilized = True
-            break
-        draws = gen.random(kernel.n)
-        new_x = kernel.step(x, draws)
-        changed = new_x != x
-        c1 = int((changed & (new_x == 1)).sum())
-        c2 = int((changed & (new_x == 0)).sum())
-        x = new_x
-        rounds += 1
-        moves_by_rule["R1"] += c1
-        moves_by_rule["R2"] += c2
-        recorder.on_round({"R1": c1, "R2": c2}, kernel.n)
-    else:
-        stabilized = kernel.is_quiescent(x)
-    recorder.begin_finalize()
-    res = VectorResult(
-        stabilized=stabilized,
-        rounds=rounds,
-        moves=sum(moves_by_rule.values()),
-        moves_by_rule=moves_by_rule,
-        final_x=x,
-    )
-    return res, recorder
-
-
-def run_engine(
-    protocol,
-    graph: Graph,
-    config=None,
-    *,
-    rng=None,
-    max_rounds: Optional[int] = None,
-    record_history: bool = False,
-    raise_on_timeout: bool = False,
-    telemetry: bool = False,
-):
-    """Registered ``("luby", "synchronous", "vectorized")`` backend.
-
-    The kernel consumes the generator draw-for-draw like the reference
-    engine, so ``engine.run("luby", g, rng=seed, backend=b)`` is
-    trajectory-identical for both backends.  The reference engine's
-    randomized default budget (``10·n + 100``) applies here too.  With
-    ``telemetry=True`` the run collects per-round rule counters into
-    ``result.telemetry``.
-    """
-    from repro.core.executor import _default_round_budget, _resolve_config
-    from repro.engine.result import RunResult
-
-    initial = _resolve_config(protocol, graph, config)
-    kernel = VectorizedLuby(graph)
-    budget = max_rounds if max_rounds is not None else _default_round_budget(graph)
-    recorder = None
-    if telemetry:
-        res, recorder = _telemetry_run(
-            protocol, kernel, kernel.encode(initial), budget, rng
-        )
-    else:
-        res = kernel.run(initial, rng=rng, max_rounds=budget)
-    final = kernel.decode(res.final_x)
-    result = RunResult(
-        protocol_name=protocol.name,
-        daemon="synchronous",
-        stabilized=res.stabilized,
-        rounds=res.rounds,
-        moves=res.moves,
-        moves_by_rule=res.moves_by_rule,
-        initial=initial,
-        final=final,
-        legitimate=protocol.is_legitimate(graph, final),
-        backend="vectorized",
-    )
-    if recorder is not None:
-        result.telemetry = recorder.finish()
-    if raise_on_timeout and not result.stabilized:
-        raise StabilizationTimeout(
-            f"{protocol.name} exceeded {budget} synchronous rounds", result
-        )
-    return result

@@ -18,12 +18,12 @@ Stabilization is detected as ``x' == x``; moves split into R1
 (``0 -> 1``) and R2 (``1 -> 0``).
 
 State layout: membership is a dense uint8 0/1 array (one byte per
-node); :meth:`VectorizedSIS.pack` / :meth:`VectorizedSIS.unpack` /
-:meth:`VectorizedSIS.step_packed` provide the bitset form (8 nodes per
-byte via :func:`repro.kernels.pack_bits`) for memory-lean storage of
-many configurations.  Per-row reductions run on ``logical_or.reduceat``
-over contiguous CSR segments, and tiny frontiers step through a
-pure-Python loop that exploits CSR row order: dense index order equals
+node).  The kernel has one full-array round function,
+:meth:`VectorizedSIS.step`, in ``(k, n)`` form (per-row reductions on
+``logical_or.reduceat`` over contiguous CSR segments; single runs pass a
+``(1, n)`` view), plus the gather and scalar decisions the frontier
+driver (:class:`repro.kernels.FrontierKernel`) picks for small dirty
+sets.  The scalar loop exploits CSR row order: dense index order equals
 id order, so the larger-id neighbours of row ``i`` are exactly the
 suffix of entries ``> i``.
 
@@ -34,24 +34,15 @@ Equivalence with the reference engine is pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.errors import StabilizationTimeout
+from repro.engine.adapter import telemetry_run  # noqa: F401  (module API)
 from repro.graphs.graph import Graph
-from repro.kernels import (
-    closed_neighborhood,
-    csr_entry_positions,
-    pack_bits,
-    segment_any,
-    unpack_bits,
-)
+from repro.kernels import FrontierKernel, csr_entry_positions, segment_any
 from repro.types import NodeId
-
-#: Frontier size at or below which the pure-Python scalar step runs.
-_SCALAR_MAX = 32
 
 
 @dataclass
@@ -64,29 +55,26 @@ class VectorResult:
     moves_by_rule: Dict[str, int]
     final_x: np.ndarray  # 0/1 per dense node index
 
+    @property
+    def final_state(self) -> np.ndarray:
+        return self.final_x
 
-class VectorizedSIS:
+
+class VectorizedSIS(FrontierKernel):
     """SIS rounds as NumPy array operations over one fixed graph."""
 
+    RULES = ("R1", "R2")
+    CLEAN = 0
+    Result = VectorResult
+
     def __init__(self, graph: Graph) -> None:
-        self.graph = graph
-        # adjacency_arrays() is cached on the (immutable) graph: repeated
-        # kernel construction over one graph is O(1) after the first.
-        indptr, indices, ids = graph.adjacency_arrays()
-        self._indptr = indptr
-        self._indices = indices
-        self._ids = ids
-        self._id_to_dense = graph.dense_index()
-        self.n = graph.n
+        super().__init__(graph, np.uint8)
         self._row = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(indptr)
+            np.arange(self.n, dtype=np.int64), np.diff(self._indptr)
         )
         # entry mask: neighbour id greater than owner id (precomputable —
         # it depends only on the topology, not the configuration)
-        self._bigger_entry = ids[indices] > ids[self._row]
-        # plain-list CSR mirror for the scalar frontier path, lazy
-        self._indptr_list: Optional[List[int]] = None
-        self._indices_list: Optional[List[int]] = None
+        self._bigger_entry = self._ids[self._indices] > self._ids[self._row]
 
     def encode(self, config) -> np.ndarray:
         x = np.zeros(self.n, dtype=np.uint8)
@@ -100,36 +88,29 @@ class VectorizedSIS:
         )
 
     # ------------------------------------------------------------------
-    # packed-bit representation
+    # the round kernel
     # ------------------------------------------------------------------
-    def pack(self, x: np.ndarray) -> np.ndarray:
-        """Bitset form of a dense 0/1 membership array (8 nodes/byte)."""
-        return pack_bits(x)
-
-    def unpack(self, bits: np.ndarray) -> np.ndarray:
-        """Dense uint8 0/1 array from a bitset produced by :meth:`pack`."""
-        return unpack_bits(bits, self.n)
-
-    def step_packed(self, bits: np.ndarray) -> np.ndarray:
-        """One synchronous round on the packed-bit representation.
-
-        Unpacks, steps the flat kernel, re-packs: byte-identical with
-        ``pack(step(unpack(bits)))`` by construction, pinned against the
-        flat kernel by the equivalence suite.
-        """
-        return pack_bits(self.step(unpack_bits(bits, self.n)))
-
-    def _scalar_csr(self) -> tuple[List[int], List[int]]:
-        if self._indices_list is None:
-            self._indptr_list = self._indptr.tolist()
-            self._indices_list = self._indices.tolist()
-        return self._indptr_list, self._indices_list
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        """One synchronous round: ``x' = ¬(∃ bigger in-set neighbour)``."""
-        in_set_entry = (x[self._indices] == 1) & self._bigger_entry
-        blocked = segment_any(in_set_entry, self._indptr)
+    def step(self, xs: np.ndarray) -> np.ndarray:
+        """One synchronous round for every row of a ``(k, n)`` state
+        matrix: ``x' = ¬(∃ bigger in-set neighbour)``."""
+        k, n = xs.shape
+        if self._seg_starts is None:  # edgeless graph: nobody is blocked
+            return np.ones((k, n), dtype=np.uint8)
+        in_set = np.take(xs, self._indices, axis=1) == 1
+        in_set_entry = in_set & self._bigger_entry
+        blocked = np.logical_or.reduceat(in_set_entry, self._seg_starts, axis=1)
+        blocked[:, self._seg_empty] = False
         return (~blocked).astype(np.uint8)
+
+    @staticmethod
+    def _moves(movers, vals):
+        entered = int(np.count_nonzero(vals))
+        return movers, vals, {"R1": entered, "R2": len(movers) - entered}
+
+    def _full_round(self, x: np.ndarray):
+        new_x = self.step(x[None])[0]
+        movers = np.flatnonzero(new_x != x)
+        return self._moves(movers, new_x[movers])
 
     def enabled_count(self, x: np.ndarray) -> int:
         """The SIS potential: number of rule-enabled nodes.
@@ -138,7 +119,7 @@ class VectorizedSIS:
         one synchronous step would change it — one :meth:`step` worth of
         array work.  Equal to the reference predicate evaluated on the
         decoded configuration (pinned by the observatory tests)."""
-        return int((self.step(x) != x).sum())
+        return int((self.step(x[None])[0] != x).sum())
 
     def independence_violations(self, x: np.ndarray) -> int:
         """Edges with both endpoints in the set (0 for any independent
@@ -152,28 +133,24 @@ class VectorizedSIS:
         has_in_set = segment_any(x[self._indices] == 1, self._indptr)
         return int(((x == 0) & ~has_in_set).sum())
 
-    def _step_at(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Recompute ``x' = ¬blocked`` at ``rows`` only.
-
-        Nodes outside ``rows`` are not looked at: a node's blockedness
-        depends only on its neighbours' states, so a cached value stays
-        valid until a neighbour changes.
-        """
+    # ------------------------------------------------------------------
+    # frontier decisions
+    # ------------------------------------------------------------------
+    def _gather_round(self, x: np.ndarray, rows: np.ndarray):
+        """Recompute ``x' = ¬blocked`` at ``rows`` only: a node's
+        blockedness depends only on its neighbours' states."""
         positions, counts = csr_entry_positions(self._indptr, rows)
         in_set_entry = (x[self._indices[positions]] == 1) & self._bigger_entry[positions]
         seg = np.concatenate(([0], np.cumsum(counts)))
-        blocked = segment_any(in_set_entry, seg)
-        return (~blocked).astype(np.uint8)
+        new_vals = (~segment_any(in_set_entry, seg)).astype(np.uint8)
+        changed = new_vals != x[rows]
+        return self._moves(rows[changed], new_vals[changed])
 
-    def _step_scalar(
-        self, x: np.ndarray, rows: List[int]
-    ) -> tuple[List[int], List[int], int, int]:
-        """Pure-Python step for a tiny frontier.
-
-        Returns ``(movers, vals, c1, c2)``.  Dense index order equals id
-        order, so a row's larger-id neighbours are the CSR entries
-        ``> i`` — scanned back to front so the first hit decides.
-        """
+    def _scalar_round(self, x: np.ndarray, rows: List[int]):
+        """Pure-Python round for a tiny frontier.  Dense index order
+        equals id order, so a row's larger-id neighbours are the CSR
+        entries ``> i`` — scanned back to front so the first hit
+        decides."""
         indptr, indices = self._scalar_csr()
         movers: List[int] = []
         vals: List[int] = []
@@ -195,280 +172,23 @@ class VectorizedSIS:
                     c1 += 1
                 else:
                     c2 += 1
-        return movers, vals, c1, c2
+        return movers, vals, {"R1": c1, "R2": c2}
 
-    def _run_active(
-        self, x: np.ndarray, budget: int, moves_by_rule: Dict[str, int]
-    ) -> tuple[bool, int, np.ndarray]:
-        stabilized, rounds, x, _ = self.segment_active(x, budget, moves_by_rule)
-        return stabilized, rounds, x
+    # ------------------------------------------------------------------
+    # fault hooks (repro.resilience.vector)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def perturb_node(x: np.ndarray, k: int, gen) -> None:
+        """Redraw node ``k``'s bit, draw for draw like
+        :meth:`SynchronousMaximalIndependentSet.random_state`."""
+        x[k] = int(gen.integers(2))
 
-    def segment_active(
-        self,
-        x: np.ndarray,
-        budget: int,
-        moves_by_rule: Dict[str, int],
-        dirty=None,
-        touched: Optional[np.ndarray] = None,
-    ) -> tuple[bool, int, np.ndarray, object]:
-        """Frontier stepping with an optional seeded initial dirty set.
-
-        The active-set loop of :meth:`run`, exposed for the streaming
-        engine: seed ``dirty`` with the closed neighbourhood of a
-        topology event's fault sites (any superset of the enabled nodes
-        is sound — nodes outside it cannot change, by locality of the
-        guard) and the event is absorbed at its containment radius.
-        ``dirty=None`` marks everything dirty.  ``touched`` accumulates
-        movers into a length-``n`` bool array.  Returns ``(stabilized,
-        rounds, x, residual_dirty)``.
-
-        Frontier stepping keeps identical round semantics, with
-        per-round work proportional to the dirty set.  The gather-based
-        frontier step costs several times more per node than the flat
-        full scan, so dense rounds (a dirty set above n/16) fall back to
-        the full scan; a dirty superset is always sound, so dense
-        rounds simply mark every node dirty.  Tiny frontiers (at most
-        ``_SCALAR_MAX`` nodes) use the scalar loop; the dirty set may
-        be an ndarray or a sorted list, with identical contents.
-        """
-        dense = max(1, self.n // 16)
-        scalar_max = min(_SCALAR_MAX, dense - 1)
-        if dirty is None:
-            dirty = np.arange(self.n, dtype=np.int64)
-        rounds = 0
-        stabilized = False
-        while True:
-            if len(dirty) >= dense:
-                new_x = self.step(x)
-                movers = np.nonzero(new_x != x)[0]
-                vals = new_x[movers]
-                if movers.size == 0:
-                    stabilized = True
-                    break
-                if rounds >= budget:
-                    break
-                moves_by_rule["R1"] += int((vals == 1).sum())
-                moves_by_rule["R2"] += int((vals == 0).sum())
-                x[movers] = vals
-                if touched is not None:
-                    touched[movers] = True
-                n_moved = movers.size
-            elif len(dirty) <= scalar_max:
-                rows = dirty if isinstance(dirty, list) else dirty.tolist()
-                movers, vals, c1, c2 = self._step_scalar(x, rows)
-                if not movers:
-                    stabilized = True
-                    break
-                if rounds >= budget:
-                    break
-                moves_by_rule["R1"] += c1
-                moves_by_rule["R2"] += c2
-                for i, v in zip(movers, vals):
-                    x[i] = v
-                    if touched is not None:
-                        touched[i] = True
-                n_moved = len(movers)
-            else:
-                if isinstance(dirty, list):
-                    dirty = np.asarray(dirty, dtype=np.int64)
-                new_vals = self._step_at(x, dirty)
-                changed = new_vals != x[dirty]
-                movers = dirty[changed]
-                vals = new_vals[changed]
-                if movers.size == 0:
-                    stabilized = True
-                    break
-                if rounds >= budget:
-                    break
-                moves_by_rule["R1"] += int((vals == 1).sum())
-                moves_by_rule["R2"] += int((vals == 0).sum())
-                x[movers] = vals
-                if touched is not None:
-                    touched[movers] = True
-                n_moved = movers.size
-            rounds += 1
-            if n_moved >= dense:
-                dirty = np.arange(self.n, dtype=np.int64)
-            elif isinstance(movers, list):
-                indptr, indices = self._scalar_csr()
-                nxt = set(movers)
-                for i in movers:
-                    nxt.update(indices[indptr[i]:indptr[i + 1]])
-                dirty = sorted(nxt)
-            else:
-                dirty = closed_neighborhood(self._indptr, self._indices, movers)
-        return stabilized, rounds, x, dirty
-
-    def run(
-        self,
-        config=None,
-        *,
-        max_rounds: Optional[int] = None,
-        raise_on_timeout: bool = False,
-        active_set: bool = True,
-    ) -> VectorResult:
-        if config is None:
-            x = np.zeros(self.n, dtype=np.uint8)
-        elif isinstance(config, np.ndarray):
-            x = config.astype(np.uint8, copy=True)
-        else:
-            x = self.encode(config)
-
-        budget = max_rounds if max_rounds is not None else self.n + 8
-        moves_by_rule = {"R1": 0, "R2": 0}
-        rounds = 0
-        stabilized = False
-        if active_set:
-            stabilized, rounds, x = self._run_active(x, budget, moves_by_rule)
-        else:
-            while True:
-                new_x = self.step(x)
-                changed = new_x != x
-                if not changed.any():
-                    stabilized = True
-                    break
-                if rounds >= budget:
-                    break
-                moves_by_rule["R1"] += int((changed & (new_x == 1)).sum())
-                moves_by_rule["R2"] += int((changed & (new_x == 0)).sum())
-                x = new_x
-                rounds += 1
-        result = VectorResult(
-            stabilized=stabilized,
-            rounds=rounds,
-            moves=sum(moves_by_rule.values()),
-            moves_by_rule=moves_by_rule,
-            final_x=x,
-        )
-        if raise_on_timeout and not stabilized:
-            raise StabilizationTimeout(
-                f"vectorized SIS exceeded {budget} rounds", result
-            )
-        return result
+    @staticmethod
+    def drop_removed_links(x: np.ndarray, pairs) -> None:
+        """SIS states are bits, topology-independent: migration across
+        removed links is the identity."""
+        del x, pairs
 
     def independent_set(self, x: np.ndarray) -> frozenset[NodeId]:
         """In-set node ids of a dense state array."""
         return frozenset(int(self._ids[k]) for k in range(self.n) if x[k] == 1)
-
-
-# ----------------------------------------------------------------------
-# engine backend adapter
-# ----------------------------------------------------------------------
-def telemetry_run(protocol, kernel: VectorizedSIS, x: np.ndarray,
-                  budget: int, backend: str):
-    """Full-scan SIS run with per-round counter recording.
-
-    Mirrors the reference loop structure exactly, so rounds, moves and
-    the per-round telemetry counters are byte-identical with the
-    reference engine.  No node-type census — the Fig. 2 taxonomy is a
-    matching notion.  Returns ``(VectorResult, recorder)`` with the
-    recorder in its finalize phase.
-    """
-    from repro.observability import TelemetryRecorder
-
-    recorder = TelemetryRecorder(
-        protocol.name, "synchronous", backend, protocol.rule_names()
-    )
-    recorder.begin_rounds()
-    moves_by_rule = {"R1": 0, "R2": 0}
-    rounds = 0
-    stabilized = False
-    while True:
-        new_x = kernel.step(x)
-        changed = new_x != x
-        c1 = int((changed & (new_x == 1)).sum())
-        c2 = int((changed & (new_x == 0)).sum())
-        if c1 + c2 == 0:
-            stabilized = True
-            break
-        if rounds >= budget:
-            break
-        x = new_x
-        rounds += 1
-        moves_by_rule["R1"] += c1
-        moves_by_rule["R2"] += c2
-        recorder.on_round({"R1": c1, "R2": c2}, kernel.n)
-    recorder.begin_finalize()
-    res = VectorResult(
-        stabilized=stabilized,
-        rounds=rounds,
-        moves=sum(moves_by_rule.values()),
-        moves_by_rule=moves_by_rule,
-        final_x=x,
-    )
-    return res, recorder
-
-
-def run_engine(
-    protocol,
-    graph: Graph,
-    config=None,
-    *,
-    rng=None,
-    max_rounds: Optional[int] = None,
-    record_history: bool = False,
-    raise_on_timeout: bool = False,
-    active_set: bool = True,
-    telemetry: bool = False,
-    fault_plan=None,
-):
-    """Registered ``("sis", "synchronous", "vectorized")`` backend.
-
-    Same contract as the SMM adapter: reference-identical config
-    validation and default budget, summary-only
-    :class:`~repro.engine.result.RunResult`, legitimacy evaluated once
-    through ``protocol.is_legitimate``.  With ``telemetry=True`` the run
-    collects per-round rule counters into ``result.telemetry``.  With a
-    ``fault_plan`` the run executes as a segmented fault campaign on the
-    dense arrays (:mod:`repro.resilience.vector`), byte-identical in its
-    counters with the reference campaign.
-    """
-    if fault_plan is not None:
-        from repro.resilience.vector import run_vector_campaign
-
-        return run_vector_campaign(
-            protocol,
-            graph,
-            config,
-            fault_plan=fault_plan,
-            family="sis",
-            rng=rng,
-            max_rounds=max_rounds,
-            record_history=record_history,
-            raise_on_timeout=raise_on_timeout,
-            active_set=active_set,
-            telemetry=telemetry,
-        )
-    from repro.core.executor import _default_round_budget, _resolve_config
-    from repro.engine.result import RunResult
-
-    initial = _resolve_config(protocol, graph, config)
-    kernel = VectorizedSIS(graph)
-    budget = max_rounds if max_rounds is not None else _default_round_budget(graph)
-    recorder = None
-    if telemetry:
-        res, recorder = telemetry_run(
-            protocol, kernel, kernel.encode(initial), budget, "vectorized"
-        )
-    else:
-        res = kernel.run(initial, max_rounds=budget, active_set=active_set)
-    final = kernel.decode(res.final_x)
-    result = RunResult(
-        protocol_name=protocol.name,
-        daemon="synchronous",
-        stabilized=res.stabilized,
-        rounds=res.rounds,
-        moves=res.moves,
-        moves_by_rule=res.moves_by_rule,
-        initial=initial,
-        final=final,
-        legitimate=protocol.is_legitimate(graph, final),
-        backend="vectorized",
-    )
-    if recorder is not None:
-        result.telemetry = recorder.finish()
-    if raise_on_timeout and not result.stabilized:
-        raise StabilizationTimeout(
-            f"{protocol.name} exceeded {budget} synchronous rounds", result
-        )
-    return result

@@ -128,8 +128,7 @@ def sis_enabled_count(graph, config) -> int:
     from repro.mis.sis_vectorized import VectorizedSIS
 
     kernel = VectorizedSIS(graph)
-    x = kernel.encode(config)
-    return int((kernel.step(x) != x).sum())
+    return kernel.enabled_count(kernel.encode(config))
 
 
 # ----------------------------------------------------------------------

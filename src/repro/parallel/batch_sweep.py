@@ -20,14 +20,15 @@ Eligibility is deliberately conservative — a spec batches only when:
 
 * ``daemon == "synchronous"`` (the batch kernels implement only the
   synchronous daemon);
-* ``backend`` is ``"auto"`` or ``"batch"`` (an explicit ``"reference"``
-  or ``"vectorized"`` request is honoured per-trial);
+* ``backend`` is ``"auto"`` (an explicit ``"reference"`` or
+  ``"vectorized"`` request is honoured per-trial);
 * no ``options``, ``record_history``, ``telemetry`` or ``trace`` —
   per-trial observation needs per-trial execution;
-* the protocol's registered batch backend advertises the
-  ``"batch_sweep"`` capability and its ``supports`` predicate accepts
-  the run (externally registered protocols without a batch kernel fall
-  through untouched);
+* the protocol has a batch kernel in :data:`_SWEEP_KERNELS` and its
+  vectorized backend's ``supports`` predicate accepts the run (the batch
+  kernel steps rows of the same kernel, so it applies exactly where the
+  vectorized backend does; externally registered protocols fall through
+  untouched);
 * the graph is at most :data:`BATCH_SWEEP_MAX_NODES` nodes — past the
   measured crossover the per-trial kernels' active-set frontier beats
   lockstep batch rows, so ``auto`` keeps the faster path.
@@ -69,9 +70,6 @@ _SWEEP_KERNELS = {
 #: nodes, SIS (a cheaper row update) past ~8k.
 BATCH_SWEEP_MAX_NODES = {"smm": 2048, "sis": 8192}
 
-#: The capability a batch backend must advertise to be sweep-dispatched.
-SWEEP_CAPABILITY = "batch_sweep"
-
 
 def sweep_eligible(spec, _protocols: Optional[dict] = None) -> bool:
     """True iff ``spec`` can be executed by a batch kernel with a
@@ -79,7 +77,7 @@ def sweep_eligible(spec, _protocols: Optional[dict] = None) -> bool:
     label, which honestly names the kernel that ran)."""
     if spec.daemon != "synchronous":
         return False
-    if spec.backend not in ("auto", "batch"):
+    if spec.backend != "auto":
         return False
     if spec.options or spec.record_history or spec.telemetry or spec.trace:
         return False
@@ -92,8 +90,8 @@ def sweep_eligible(spec, _protocols: Optional[dict] = None) -> bool:
         return False
     if spec.graph.n > BATCH_SWEEP_MAX_NODES[spec.protocol]:
         return False  # past the measured crossover: per-trial is faster
-    entry = registry.BACKENDS.get((spec.protocol, "synchronous", "batch"))
-    if entry is None or SWEEP_CAPABILITY not in entry.capabilities:
+    entry = registry.BACKENDS.get((spec.protocol, "synchronous", "vectorized"))
+    if entry is None:
         return False
     if _protocols is None:
         _protocols = {}

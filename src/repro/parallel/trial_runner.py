@@ -48,11 +48,12 @@ it incrementally:
   :class:`SweepCancelled`.  Work already checkpointed stays
   checkpointed, so a cancelled job resumes exactly where it stopped.
 
-In resilient mode the runner additionally converts a ``SIGTERM`` (main
-thread, default disposition only) into :class:`SweepInterrupted`, so a
-killed process unwinds through its ``finally`` blocks: the checkpoint
-JSONL is flushed and closed, shared-memory segments are unlinked, and
-the exit code is the conventional ``128 + signum``.
+In resilient mode the runner additionally defers a ``SIGTERM`` (main
+thread, default disposition only): the handler records it, and the next
+cancel safe point raises :class:`SweepInterrupted`, so a killed process
+unwinds through its ``finally`` blocks: the checkpoint JSONL is flushed
+and closed, shared-memory segments are unlinked, and the exit code is
+the conventional ``128 + signum``.
 
 Sweep fast paths
 ----------------
@@ -147,47 +148,54 @@ class SweepCancelled(RuntimeError):
 
 
 class SweepInterrupted(SystemExit):
-    """``SIGTERM`` during a resilient sweep, converted to an exception
-    so the sweep unwinds orderly — checkpoint flushed and closed,
-    shared-memory segments unlinked — before the process exits with the
-    conventional ``128 + signum`` status."""
+    """``SIGTERM`` during a resilient sweep, raised at the runner's next
+    cancel safe point so the sweep unwinds orderly — checkpoint flushed
+    and closed, shared-memory segments unlinked — before the process
+    exits with the conventional ``128 + signum`` status."""
 
     def __init__(self, signum: int) -> None:
         super().__init__(128 + int(signum))
         self.signum = int(signum)
 
 
-@contextlib.contextmanager
-def _sigterm_unwinds():
-    """Convert ``SIGTERM`` into :class:`SweepInterrupted` for the block.
+class _SigtermFlag:
+    """A ``SIGTERM`` received during a resilient sweep.
 
-    Installed only in the main thread (signal handlers cannot be set
-    elsewhere) and only when the signal's disposition is the default
-    (an embedding application that installed its own handler — the
-    serve control plane does — keeps it).  ``SIGINT`` needs no
-    conversion: ``KeyboardInterrupt`` already unwinds ``finally``
-    blocks.
+    The handler only records the signal and writes one byte to a
+    self-pipe, so the scheduler's blocking wait wakes up; it never
+    raises.  An exception raised from a signal handler lands wherever
+    the main thread happens to be — inside a ``with lock:`` block it is
+    mangled and the signal is lost — so unwinding is left to the
+    runner's cancel safe points (:meth:`TrialRunner._check_cancel`).
     """
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
-    try:
-        previous = signal.getsignal(signal.SIGTERM)
-    except (ValueError, OSError):  # pragma: no cover - exotic platform
-        yield
-        return
-    if previous is not signal.SIG_DFL:
-        yield
-        return
 
-    def _raise(signum, frame):
-        raise SweepInterrupted(signum)
+    def __init__(self) -> None:
+        self.signum: Optional[int] = None
+        self._read, self._write = os.pipe()
+        os.set_blocking(self._read, False)
+        os.set_blocking(self._write, False)
 
-    signal.signal(signal.SIGTERM, _raise)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+    def handle(self, signum, frame) -> None:
+        self.signum = signum
+        try:
+            os.write(self._write, b"\0")
+        except OSError:  # pipe full: a wake-up is already pending
+            pass
+
+    def fileno(self) -> int:
+        return self._read
+
+    def drain(self) -> None:
+        try:
+            while os.read(self._read, 4096):
+                pass
+        except OSError:  # drained (EAGAIN)
+            pass
+
+    def close(self) -> None:
+        os.close(self._read)
+        os.close(self._write)
+
 
 #: Process-wide defaults for the sweep fast paths, read by
 #: :class:`TrialRunner` when the corresponding keyword is omitted.  The
@@ -230,7 +238,7 @@ class TrialSpec:
     backend:
         Execution backend (:mod:`repro.engine`): ``"reference"`` (the
         default), ``"auto"``, or an explicit registered kernel such as
-        ``"vectorized"``/``"batch"``.
+        ``"vectorized"``.
     telemetry:
         Attach a :class:`~repro.observability.RunTelemetry` record to
         the trial's result.  Telemetry rides back through the ordinary
@@ -441,6 +449,10 @@ def _resilient_worker(conn, spec: TrialSpec) -> None:
     process.  Exceptions travel as ``(type name, message)`` strings —
     never pickled, so an unpicklable exception cannot kill the
     transport and masquerade as worker death."""
+    # a forked worker inherits the parent's deferring SIGTERM handler;
+    # terminate() must end the attempt outright
+    with contextlib.suppress(ValueError):  # not the main thread
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _pin_worker_threads()
     try:
         payload = ("ok", execute_trial(spec))
@@ -662,6 +674,7 @@ class TrialRunner:
         if deadline is not None:
             deadline = float(deadline)
         self.deadline = deadline
+        self._sigterm: Optional[_SigtermFlag] = None
 
     @property
     def resilient(self) -> bool:
@@ -679,6 +692,8 @@ class TrialRunner:
             self.on_result(index, outcome, resumed)
 
     def _cancel_reason(self) -> Optional[str]:
+        if self._sigterm is not None and self._sigterm.signum is not None:
+            return "sigterm"
         if self.cancel is not None and self.cancel.is_set():
             return "cancel"
         if self.deadline is not None and time.time() > self.deadline:
@@ -687,10 +702,46 @@ class TrialRunner:
 
     def _check_cancel(self) -> None:
         reason = self._cancel_reason()
+        if reason == "sigterm":
+            raise SweepInterrupted(self._sigterm.signum)
         if reason == "cancel":
             raise SweepCancelled("sweep cancelled by owner")
         if reason == "deadline":
             raise SweepCancelled("sweep deadline exceeded", reason="deadline")
+
+    @contextlib.contextmanager
+    def _deferred_sigterm(self):
+        """Defer ``SIGTERM`` to the cancel safe points for the block.
+
+        Installed only in the main thread (signal handlers cannot be set
+        elsewhere) and only when the signal's disposition is the default
+        (an embedding application that installed its own handler — the
+        serve control plane does — keeps it).  A signal that lands after
+        the last safe point still ends the sweep when the block exits.
+        ``SIGINT`` needs no deferral: ``KeyboardInterrupt`` already
+        unwinds ``finally`` blocks.
+        """
+        if threading.current_thread() is not threading.main_thread():
+            yield
+            return
+        try:
+            previous = signal.getsignal(signal.SIGTERM)
+        except (ValueError, OSError):  # pragma: no cover - exotic platform
+            yield
+            return
+        if previous is not signal.SIG_DFL:
+            yield
+            return
+        self._sigterm = _SigtermFlag()
+        signal.signal(signal.SIGTERM, self._sigterm.handle)
+        try:
+            yield
+            if self._sigterm.signum is not None:
+                raise SweepInterrupted(self._sigterm.signum)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+            self._sigterm.close()
+            self._sigterm = None
 
     def map(
         self, specs: Sequence[TrialSpec]
@@ -760,7 +811,7 @@ class TrialRunner:
                 # batching never applies here, so indices line up; a
                 # SIGTERM unwinds through the finally below (checkpoint
                 # closed, segments unlinked) instead of killing us cold
-                with _sigterm_unwinds():
+                with self._deferred_sigterm():
                     outcomes, attempts, resumed = self._map_resilient(
                         rest, traced=traced
                     )
@@ -1000,9 +1051,13 @@ class TrialRunner:
                         None if self.timeout is None else started + self.timeout
                     ),
                 )
+            wake = [] if self._sigterm is None else [self._sigterm]
             if not running:
                 # everything is backing off: sleep to the earliest retry
-                time.sleep(max(0.0, backing_off[0][0] - time.monotonic()))
+                # (a deferred SIGTERM cuts the sleep short)
+                _connection_wait(
+                    wake, timeout=max(0.0, backing_off[0][0] - time.monotonic())
+                )
                 continue
             wake_points = [
                 att.deadline for att in running.values() if att.deadline is not None
@@ -1014,8 +1069,11 @@ class TrialRunner:
                 if not wake_points
                 else max(0.0, min(wake_points) - time.monotonic())
             )
-            ready = _connection_wait(list(running), timeout=wait_for)
+            ready = _connection_wait(list(running) + wake, timeout=wait_for)
             for conn in ready:
+                if conn is self._sigterm:
+                    conn.drain()  # the next safe point raises
+                    continue
                 att = running.pop(conn)
                 try:
                     payload = conn.recv()

@@ -1,25 +1,30 @@
-"""Fault campaigns on the vectorized SMM/SIS kernels.
+"""Fault campaigns and streams on the vectorized SMM/SIS kernels.
 
-The campaign driver (:mod:`repro.resilience.campaign`) is backend
-agnostic; this module supplies the adapter that keeps campaign segments
-on the NumPy fast path.  Segments run the same full-scan loop as the
-kernels' ``telemetry_run`` (step → zero-fire stabilized break → budget
-break → apply and count), so every counter is byte-identical with the
-reference engine.
+The campaign driver (:mod:`repro.resilience.campaign`) and the streaming
+engine (:mod:`repro.streaming.engine`) are backend agnostic; this module
+supplies the one adapter that keeps their segments on the NumPy fast
+path.  Segments run the kernel's frontier driver
+(:meth:`repro.kernels.FrontierKernel.drive`), so every counter is
+byte-identical with the reference engine while each event is absorbed
+at its containment radius: after an event the dirty frontier is seeded
+with the closed neighbourhood of every node whose state or adjacency
+the event changed — a superset of the nodes it can enable, because
+every guard reads only ``N[i]``.  If the previous window ended before
+quiescence, its residual dirty set is unioned in.
 
 Fault events apply at the array level where possible: ``perturb`` and
 ``message_dup`` redraw victim states directly on the dense array,
 mirroring the reference path draw for draw — victims come from the same
 ``gen.choice`` over dense indices (:func:`~repro.core.faults.perturb_victims`
 maps them to ids; here they *are* the array positions), and each
-victim's redraw consumes the identical generator calls
-(``integers(deg + 1)`` against the CSR row for SMM — CSR rows and
-``Graph.neighbors`` share their ascending order — and ``integers(2)``
-for SIS).  Topology-changing events (``churn``/``crash``/``rejoin``)
-and ``message_loss`` decode to a configuration, go through the shared
-:class:`~repro.resilience.campaign.CampaignRuntime`, and re-encode
-(rebuilding the kernel when the graph changed); they are rare
-round-boundary operations, so the O(n) decode does not matter.
+victim's redraw consumes the identical generator calls (the kernels'
+``perturb_node``).  Explicit-edge churn splices the cached CSR
+(:meth:`~repro.graphs.graph.Graph.with_updates`) and migrates the dense
+state in place (``drop_removed_links``).  The remaining events
+(``crash``/``rejoin``, random churn, ``message_loss``) decode to a
+configuration, go through the shared
+:class:`~repro.resilience.campaign.CampaignRuntime`, and re-encode; they
+are rare round-boundary operations, so the O(n) decode does not matter.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.analysis.containment import edge_fault_sites
 from repro.graphs.graph import Graph
+from repro.kernels import closed_neighborhood
 from repro.resilience.campaign import (
     CampaignRuntime,
     Segment,
@@ -37,217 +44,150 @@ from repro.resilience.campaign import (
 )
 from repro.resilience.plan import FaultEvent, FaultPlan
 
-__all__ = ["run_vector_campaign"]
+__all__ = ["VectorAdapter", "run_vector_campaign"]
 
 
-class _SMMFamily:
-    """VectorizedSMM hooks for the campaign adapter."""
+class VectorAdapter:
+    """Campaign/stream adapter over a frontier kernel class.
 
-    has_census = True
+    ``census=True`` records the kernel's Fig. 2 census (SMM) after every
+    round — campaigns report it in their telemetry; streams leave it
+    off, since it is an O(m) pass per round.
+    """
 
-    @staticmethod
-    def make(graph: Graph):
-        from repro.matching.smm_vectorized import VectorizedSMM
-
-        return VectorizedSMM(graph)
-
-    @staticmethod
-    def encode(kernel, config):
-        return kernel.encode(config)
-
-    @staticmethod
-    def decode(kernel, state):
-        return kernel.decode(state)
-
-    @staticmethod
-    def step_stats(kernel, ptr):
-        new_ptr, r1, r2, r3 = kernel.step(ptr)
-        counts = {"R1": int(r1.sum()), "R2": int(r2.sum()), "R3": int(r3.sum())}
-        return new_ptr, counts, r1 | r2 | r3
-
-    @staticmethod
-    def census(kernel, ptr):
-        return kernel.census(ptr)
-
-    @staticmethod
-    def perturb_one(kernel, ptr, k: int, gen) -> None:
-        # mirrors SynchronousMaximalMatching.random_state: the option
-        # list is [None, *neighbors] and one integers(deg + 1) draw
-        # picks from it; CSR rows share the neighbour order
-        start, stop = int(kernel._indptr[k]), int(kernel._indptr[k + 1])
-        j = int(gen.integers(stop - start + 1))
-        ptr[k] = -1 if j == 0 else int(kernel._indices[start + j - 1])
-
-    @staticmethod
-    def drop_removed_links(ptr, pairs) -> None:
-        # mirrors sanitize_state across an explicit-edge churn: a valid
-        # pointer only turns invalid when its own link is removed, so
-        # resetting the endpoints of removed edges equals the full
-        # migrate_configuration sweep (pairs are dense index tuples)
-        from repro.kernels import SMM_NULL
-
-        for ku, kv in pairs:
-            if ptr[ku] == kv:
-                ptr[ku] = SMM_NULL
-            if ptr[kv] == ku:
-                ptr[kv] = SMM_NULL
-
-
-class _SISFamily:
-    """VectorizedSIS hooks for the campaign adapter."""
-
-    has_census = False
-
-    @staticmethod
-    def make(graph: Graph):
-        from repro.mis.sis_vectorized import VectorizedSIS
-
-        return VectorizedSIS(graph)
-
-    @staticmethod
-    def encode(kernel, config):
-        return kernel.encode(config)
-
-    @staticmethod
-    def decode(kernel, state):
-        return kernel.decode(state)
-
-    @staticmethod
-    def step_stats(kernel, x):
-        new_x = kernel.step(x)
-        changed = new_x != x
-        counts = {
-            "R1": int((changed & (new_x == 1)).sum()),
-            "R2": int((changed & (new_x == 0)).sum()),
-        }
-        return new_x, counts, changed
-
-    @staticmethod
-    def census(kernel, x):
-        return None
-
-    @staticmethod
-    def perturb_one(kernel, x, k: int, gen) -> None:
-        # mirrors SynchronousMaximalIndependentSet.random_state
-        x[k] = int(gen.integers(2))
-
-    @staticmethod
-    def drop_removed_links(x, pairs) -> None:
-        # SIS states are bits, topology-independent: migration is the
-        # identity (validate_state never consults the graph)
-        del x, pairs
-
-
-_FAMILIES = {"smm": _SMMFamily, "sis": _SISFamily}
-
-
-class _VectorAdapter:
     traces = False
 
-    def __init__(self, protocol, graph: Graph, initial, family) -> None:
+    def __init__(
+        self, protocol, graph: Graph, initial, kernel_cls, *, census: bool = False
+    ) -> None:
         self.protocol = protocol
         self.graph = graph
-        self.family = family
-        self.kernel = family.make(graph)
-        self.state = family.encode(self.kernel, initial)
+        self.kernel_cls = kernel_cls
+        self.kernel = kernel_cls(graph)
+        self.state = self.kernel.encode(initial)
         self.runtime = CampaignRuntime()
+        self._census = census and hasattr(kernel_cls, "census")
+        self._dirty = None  # None = everything dirty (the initial settle)
+        self._settled = False
 
     def initial_census(self):
-        if not self.family.has_census:
-            return None
-        return self.family.census(self.kernel, self.state)
+        return self.kernel.census(self.state) if self._census else None
 
     def config(self):
-        return self.family.decode(self.kernel, self.state)
+        return self.kernel.decode(self.state)
 
     def run_segment(self, budget: int) -> Segment:
-        family, kernel = self.family, self.kernel
-        state = self.state
+        kernel = self.kernel
         per_round = []
         active_sizes = []
-        census = [] if family.has_census else None
-        touched = np.zeros(kernel.n, dtype=bool)
-        rounds = 0
-        stabilized = False
-        while True:
-            new_state, counts, fired = family.step_stats(kernel, state)
-            if sum(counts.values()) == 0:
-                stabilized = True
-                break
-            if rounds >= budget:
-                break
-            state = new_state
-            rounds += 1
-            touched |= fired
+        census = [] if self._census else None
+
+        def observe(counts, active, state):
             per_round.append(counts)
-            active_sizes.append(kernel.n)
+            active_sizes.append(active)
             if census is not None:
-                census.append(family.census(kernel, state))
-        self.state = state
-        ids = kernel._ids
-        touched_ids = frozenset(
-            int(ids[k]) for k in np.nonzero(touched)[0]
+                census.append(kernel.census(state))
+
+        touched = np.zeros(kernel.n, dtype=bool)
+        moves = dict.fromkeys(kernel.RULES, 0)
+        stabilized, rounds, self.state, self._dirty = kernel.drive(
+            self.state,
+            budget,
+            moves,
+            dirty=self._dirty,
+            touched=touched,
+            observer=observe,
         )
+        self._settled = stabilized
+        ids = kernel._ids
         return Segment(
             rounds=rounds,
             stabilized=stabilized,
             per_round=per_round,
             active_sizes=active_sizes,
             census=census,
-            touched=touched_ids,
+            touched=frozenset(int(ids[k]) for k in np.flatnonzero(touched)),
         )
 
     def apply(self, event: FaultEvent, gen):
+        index = self.graph.dense_index()
+        changed = ()  # dense rows whose state changed beyond the sites
         if event.kind in ("perturb", "message_dup"):
             # array fast path, draw-for-draw identical to the dict path
-            victims = select_victims(self.graph, event, gen)
-            index = self.graph.dense_index()
-            for node in victims:
-                self.family.perturb_one(self.kernel, self.state, index[node], gen)
-            return victims
-        config = self.family.decode(self.kernel, self.state)
-        graph, config, sites = self.runtime.apply(
-            self.protocol, self.graph, config, event, gen
-        )
+            sites = select_victims(self.graph, event, gen)
+            for node in sites:
+                self.kernel.perturb_node(self.state, index[node], gen)
+        elif event.kind == "churn" and (event.add_edges or event.remove_edges):
+            # explicit-edge fast path: splice the cached CSR and migrate
+            # the dense state without a decode/encode round trip
+            graph = self.graph.with_updates(
+                add_edges=event.add_edges, remove_edges=event.remove_edges
+            )
+            self.kernel.drop_removed_links(
+                self.state, [(index[u], index[v]) for u, v in event.remove_edges]
+            )
+            self._rebuild(graph)
+            sites = tuple(
+                sorted(edge_fault_sites((*event.add_edges, *event.remove_edges)))
+            )
+        else:
+            # rare structural events: decode, shared runtime, re-encode
+            before = self.state
+            graph, config, sites = self.runtime.apply(
+                self.protocol, self.graph, self.kernel.decode(before), event, gen
+            )
+            self._rebuild(graph)
+            self.state = self.kernel.encode(config)
+            if self.state.shape != before.shape:  # the node set changed
+                self._dirty = None
+                return sites
+            # message_loss rewrites the victims' neighbours, not the sites
+            changed = np.flatnonzero(self.state != before)
+        self._seed_dirty(sites, changed)
+        return sites
+
+    def _rebuild(self, graph: Graph) -> None:
         if graph is not self.graph:
             self.graph = graph
-            self.kernel = self.family.make(graph)
-        self.state = self.family.encode(self.kernel, config)
-        return sites
+            self.kernel = self.kernel_cls(graph)
+
+    def _seed_dirty(self, sites, changed) -> None:
+        if self._dirty is None:  # everything is dirty already
+            return
+        index = self.graph.dense_index()
+        rows = np.union1d(
+            np.fromiter((index[s] for s in sites), dtype=np.int64, count=len(sites)),
+            np.asarray(changed, dtype=np.int64),
+        )
+        seed = closed_neighborhood(self.kernel._indptr, self.kernel._indices, rows)
+        if not self._settled:
+            seed = np.union1d(seed, np.asarray(self._dirty, dtype=np.int64))
+        self._dirty = seed
 
 
 def run_vector_campaign(
+    kernel_cls,
     protocol,
     graph: Graph,
     config=None,
     *,
     fault_plan: FaultPlan,
-    family: str,
-    rng=None,
     max_rounds: Optional[int] = None,
-    record_history: bool = False,
     raise_on_timeout: bool = False,
-    active_set: bool = True,
-    telemetry: bool = False,
 ):
-    """Run a fault campaign on a vectorized kernel family.
+    """Run a fault campaign on the frontier kernel ``kernel_cls``.
 
-    The kernels' ``run_engine`` adapters delegate here when
-    ``fault_plan`` is given.  ``rng`` / ``record_history`` /
-    ``active_set`` / ``telemetry`` are accepted for the uniform runner
-    signature: SMM/SIS consume no daemon randomness, selection degrades
-    history requests to the reference backend, segments are full scans
-    (telemetry wants per-round counters anyway), and campaigns always
-    collect telemetry.
+    The shared engine adapter (:func:`repro.engine.adapter.run_kernel`)
+    delegates here when ``fault_plan`` is given.  Campaigns always
+    collect telemetry, census included.
     """
-    del rng, record_history, active_set, telemetry
     from repro.core.executor import _default_round_budget, _resolve_config
     from repro.engine.result import RunResult
     from repro.errors import StabilizationTimeout
 
     initial = _resolve_config(protocol, graph, config)
     budget = max_rounds if max_rounds is not None else _default_round_budget(graph)
-    adapter = _VectorAdapter(protocol, graph, initial, _FAMILIES[family])
+    adapter = VectorAdapter(protocol, graph, initial, kernel_cls, census=True)
     summary, tele = drive_campaign(
         protocol, adapter, fault_plan, budget=budget, backend="vectorized"
     )

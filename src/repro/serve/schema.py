@@ -62,7 +62,7 @@ from repro.analysis.serialize import (
     configuration_from_dict,
     graph_from_dict,
 )
-from repro.engine.registry import DAEMONS, PROTOCOLS
+from repro.engine.registry import DAEMONS, PROTOCOLS, backend_names
 from repro.graphs.graph import Graph
 from repro.parallel.trial_runner import TrialSpec
 
@@ -243,6 +243,13 @@ def _parse_trial(data: Any, *, where: str) -> TrialSpec:
         raise RequestError(
             f"{where}.daemon must be one of {DAEMONS}, got {daemon!r}"
         )
+    backend = str(data.get("backend", "auto"))
+    known = ["auto", *backend_names(protocol, daemon)]
+    if backend not in known:
+        raise RequestError(
+            f"{where}.backend: unknown backend {backend!r} for {protocol!r} "
+            f"under the {daemon!r} daemon (known: {known})"
+        )
     graph = _parse_graph(_require(data, "graph", where), f"{where}.graph")
     config = data.get("config")
     if config is not None:
@@ -269,7 +276,7 @@ def _parse_trial(data: Any, *, where: str) -> TrialSpec:
         record_history=False,  # histories are too large for the wire
         seed=_int_or_none(data.get("seed"), f"{where}.seed"),
         options=_parse_options(data.get("options"), f"{where}.options"),
-        backend=str(data.get("backend", "auto")),
+        backend=backend,
         telemetry=bool(data.get("telemetry", False)),
     )
 

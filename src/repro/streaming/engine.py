@@ -36,17 +36,17 @@ deterministic and byte-identical across backends for the same plan
 
 Backends
 --------
-``reference`` reuses the campaign's reference adapter unchanged.
-``vectorized`` keeps the whole stream on the array fast path: explicit
-edge churn patches the cached CSR incrementally
-(:meth:`~repro.graphs.graph.Graph.with_updates`), state migration is an
-O(changed links) pointer reset, and the recovery segment runs
-:meth:`segment_active` with the dirty frontier *seeded at the event's
-fault sites* — the closed neighbourhood ``N[sites]`` is a superset of
-the enabled nodes after any event applied to a quiescent state, so the
-kernel absorbs the event at its containment radius instead of
-rescanning all ``n`` nodes.  When a window ends before quiescence the
-residual dirty set is carried forward and unioned into the next seed.
+Both backends reuse the fault campaign's adapters unchanged.
+``reference`` steps the reference engine.  ``vectorized``
+(:class:`~repro.resilience.vector.VectorAdapter`) keeps the whole
+stream on the array fast path: explicit edge churn patches the cached
+CSR incrementally (:meth:`~repro.graphs.graph.Graph.with_updates`),
+state migration is an O(changed links) pointer reset, and each recovery
+segment runs the kernel's frontier driver *seeded at the event's fault
+sites*, so the kernel absorbs the event at its containment radius
+instead of rescanning all ``n`` nodes.  Streams skip the per-round SMM
+census (an O(m) pass the campaign telemetry needs and a stream does
+not).
 
 Memory is bounded for indefinite runs: samples are kept in a
 ``sample_cap``-deep window, while every aggregate (counters, and the
@@ -62,25 +62,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.analysis.containment import containment_radius, edge_fault_sites
 from repro.core.executor import _default_round_budget, _resolve_config
 from repro.errors import ExperimentError
 from repro.graphs.graph import Graph
-from repro.kernels import closed_neighborhood
 from repro.observability.metrics import (
     DEFAULT_BUCKETS,
     current_registry,
     exponential_buckets,
 )
-from repro.resilience.campaign import (
-    CampaignRuntime,
-    _ReferenceAdapter,
-    select_victims,
-)
+from repro.resilience.campaign import Segment, _recovery_record, _ReferenceAdapter
 from repro.resilience.plan import FaultEvent, FaultPlan
-from repro.resilience.vector import _FAMILIES
+from repro.resilience.vector import VectorAdapter
 from repro.rng import ensure_rng
 
 __all__ = [
@@ -98,12 +90,15 @@ RADIUS_BUCKETS = exponential_buckets(1.0, 2.0, 10)
 
 
 def _protocols():
+    """Stream protocol key -> (protocol class, vectorized kernel class)."""
     from repro.matching.smm import SynchronousMaximalMatching
+    from repro.matching.smm_vectorized import VectorizedSMM
     from repro.mis.sis import SynchronousMaximalIndependentSet
+    from repro.mis.sis_vectorized import VectorizedSIS
 
     return {
-        "smm": SynchronousMaximalMatching,
-        "sis": SynchronousMaximalIndependentSet,
+        "smm": (SynchronousMaximalMatching, VectorizedSMM),
+        "sis": (SynchronousMaximalIndependentSet, VectorizedSIS),
     }
 
 
@@ -245,134 +240,6 @@ class StreamReport:
         return out
 
 
-class _SegStats:
-    """What one segment reports back, backend-normalized."""
-
-    __slots__ = ("rounds", "stabilized", "moves_by_rule", "touched")
-
-    def __init__(self, rounds, stabilized, moves_by_rule, touched):
-        self.rounds = rounds
-        self.stabilized = stabilized
-        self.moves_by_rule = moves_by_rule
-        self.touched = touched
-
-
-class _ReferenceStream:
-    """The campaign reference adapter, normalized to ``_SegStats``."""
-
-    def __init__(self, protocol, graph, config, gen):
-        self._inner = _ReferenceAdapter(
-            protocol, graph, config, gen, record_history=False, active_set=True
-        )
-
-    @property
-    def graph(self) -> Graph:
-        return self._inner.graph
-
-    def config(self):
-        return self._inner.config()
-
-    def run_segment(self, budget: int) -> _SegStats:
-        seg = self._inner.run_segment(budget)
-        moves: Dict[str, int] = {}
-        for entry in seg.per_round:
-            for name, count in entry.items():
-                moves[name] = moves.get(name, 0) + count
-        return _SegStats(seg.rounds, seg.stabilized, moves, seg.touched)
-
-    def apply(self, event: FaultEvent, gen):
-        return self._inner.apply(event, gen)
-
-
-class _VectorStream:
-    """Streaming adapter on the vectorized kernels.
-
-    Unlike the campaign's full-scan segments, recovery segments here run
-    ``segment_active`` with the dirty frontier seeded at ``N[sites]`` of
-    the event just applied — sound because a fault event on a quiescent
-    configuration can only enable nodes within the closed neighbourhood
-    of its sites (state events rewrite exactly the sites; topology
-    events change exactly the sites' adjacency rows, and every guard
-    reads only ``N[i]``).  If the previous window ended before
-    quiescence its residual dirty set is unioned in, preserving the
-    kernels' dirty-superset invariant across events.
-    """
-
-    def __init__(self, protocol, graph: Graph, initial, family) -> None:
-        self.protocol = protocol
-        self.graph = graph
-        self.family = family
-        self.kernel = family.make(graph)
-        self.state = family.encode(self.kernel, initial)
-        self.runtime = CampaignRuntime()
-        self._dirty = None  # None = everything dirty (initial settle)
-        self._settled = False
-
-    def config(self):
-        return self.family.decode(self.kernel, self.state)
-
-    def run_segment(self, budget: int) -> _SegStats:
-        moves = {name: 0 for name in self.protocol.rule_names()}
-        touched = np.zeros(self.kernel.n, dtype=bool)
-        stabilized, rounds, state, residual = self.kernel.segment_active(
-            self.state, budget, moves, dirty=self._dirty, touched=touched
-        )
-        self.state = state
-        self._dirty = residual
-        self._settled = stabilized
-        ids = self.kernel._ids
-        touched_ids = frozenset(int(ids[k]) for k in np.nonzero(touched)[0])
-        return _SegStats(rounds, stabilized, moves, touched_ids)
-
-    def apply(self, event: FaultEvent, gen):
-        index = self.graph.dense_index()
-        if event.kind in ("perturb", "message_dup"):
-            # array fast path, draw-for-draw identical to the dict path
-            victims = select_victims(self.graph, event, gen)
-            for node in victims:
-                self.family.perturb_one(self.kernel, self.state, index[node], gen)
-            sites = victims
-        elif event.kind == "churn" and (event.add_edges or event.remove_edges):
-            # explicit-edge fast path: patch the cached CSR in place and
-            # migrate the dense state without a decode/encode round trip
-            new_graph = self.graph.with_updates(
-                add_edges=event.add_edges, remove_edges=event.remove_edges
-            )
-            self.family.drop_removed_links(
-                self.state,
-                [(index[u], index[v]) for u, v in event.remove_edges],
-            )
-            self.graph = new_graph
-            self.kernel = self.family.make(new_graph)
-            changed = (*event.add_edges, *event.remove_edges)
-            sites = tuple(sorted(edge_fault_sites(changed)))
-        else:
-            # rare structural events: decode, shared runtime, re-encode
-            config = self.family.decode(self.kernel, self.state)
-            graph, config, sites = self.runtime.apply(
-                self.protocol, self.graph, config, event, gen
-            )
-            if graph is not self.graph:
-                self.graph = graph
-                self.kernel = self.family.make(graph)
-            self.state = self.family.encode(self.kernel, config)
-        self._seed_dirty(sites)
-        return sites
-
-    def _seed_dirty(self, sites) -> None:
-        index = self.graph.dense_index()
-        rows = np.unique(
-            np.fromiter(
-                (index[int(s)] for s in sites), dtype=np.int64, count=len(sites)
-            )
-        )
-        seed = closed_neighborhood(self.kernel._indptr, self.kernel._indices, rows)
-        if not self._settled and self._dirty is not None:
-            prev = np.asarray(self._dirty, dtype=np.int64)
-            seed = np.union1d(seed, prev)
-        self._dirty = seed
-
-
 class StreamEngine:
     """One never-restarting run absorbing a stream of topology events.
 
@@ -404,15 +271,19 @@ class StreamEngine:
                 "known: ['reference', 'vectorized']"
             )
         self.protocol_key = protocol
-        self.protocol = protocols[protocol]()
+        protocol_cls, kernel_cls = protocols[protocol]
+        self.protocol = protocol_cls()
         self.backend = backend
         gen = ensure_rng(rng)
         initial = _resolve_config(self.protocol, graph, config)
         if backend == "reference":
-            self.adapter = _ReferenceStream(self.protocol, graph, initial, gen)
+            self.adapter = _ReferenceAdapter(
+                self.protocol, graph, initial, gen,
+                record_history=False, active_set=True,
+            )
         else:
-            self.adapter = _VectorStream(
-                self.protocol, graph, initial, _FAMILIES[protocol]
+            self.adapter = VectorAdapter(
+                self.protocol, graph, initial, kernel_cls
             )
         self._elapsed = 0
         self._event_index = 0
@@ -487,25 +358,23 @@ class StreamEngine:
         return self.report()
 
     # ------------------------------------------------------------------
-    def _record(self, event: FaultEvent, sites, t0: float, seg: _SegStats) -> None:
+    def _record(self, event: FaultEvent, sites, t0: float, seg: Segment) -> None:
         wall = time.perf_counter() - t0
-        moves = int(sum(seg.moves_by_rule.values()))
-        radius = None
-        if sites and seg.touched:
-            radius = containment_radius(
-                self.adapter.graph, set(sites), seg.touched
-            )
+        rec = _recovery_record(
+            self.adapter.graph, self._event_index, event, sites, seg
+        )
+        moves = rec["moves"]
         sample = StreamSample(
             index=self._event_index,
             kind=event.kind,
             round=self._elapsed - seg.rounds,
             sites=len(sites),
-            recovered=bool(seg.stabilized),
-            rounds=int(seg.rounds),
+            recovered=rec["recovered"],
+            rounds=rec["recovery_rounds"],
             moves=moves,
-            moves_by_rule={k: int(v) for k, v in sorted(seg.moves_by_rule.items())},
-            touched=len(seg.touched),
-            radius=None if radius is None else int(radius),
+            moves_by_rule=rec["moves_by_rule"],
+            touched=rec["touched"],
+            radius=rec["radius"],
             wall_seconds=wall,
         )
         self._event_index += 1
@@ -518,7 +387,7 @@ class StreamEngine:
             )
         self._recovery_rounds += sample.rounds
         self._moves += moves
-        for name, count in seg.moves_by_rule.items():
+        for name, count in sample.moves_by_rule.items():
             self._moves_by_rule[name] = self._moves_by_rule.get(name, 0) + count
         self._touched += sample.touched
         self._rounds_dist[sample.rounds] = (

@@ -33,7 +33,7 @@ class TestBatchSMM:
         for _ in range(5):
             stepped, _ = batch.step_batch(ptrs)
             for i in range(len(configs)):
-                expected = single.step(ptrs[i])[0]
+                expected = single.step(ptrs[i][None])[0][0]
                 assert np.array_equal(stepped[i], expected)
             ptrs = stepped
 
@@ -91,7 +91,7 @@ class TestBatchSIS:
         for _ in range(5):
             stepped = batch.step_batch(xs)
             for i in range(len(configs)):
-                assert np.array_equal(stepped[i], single.step(xs[i]))
+                assert np.array_equal(stepped[i], single.step(xs[i][None])[0])
             xs = stepped
 
     def test_run_matches_reference(self):

@@ -349,7 +349,8 @@ class TestPlumbing:
         from repro.parallel.trial_runner import TrialSpec
 
         graph = cycle_graph(8)
-        specs = [TrialSpec("smm", graph, seed=s, backend="batch") for s in range(4)]
+        specs = [TrialSpec("smm", graph, seed=s, backend="auto") for s in range(4)]
+        assert sweep_eligible(specs[0])
         monitored = [
             dataclasses.replace(s, convergence=True) for s in specs
         ]

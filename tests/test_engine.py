@@ -83,16 +83,8 @@ class TestProtocolRegistry:
 
 class TestBackendRegistry:
     def test_kernels_registered_with_priority_order(self):
-        assert backend_names("smm", "synchronous") == [
-            "vectorized",
-            "batch",
-            "reference",
-        ]
-        assert backend_names("sis", "synchronous") == [
-            "vectorized",
-            "batch",
-            "reference",
-        ]
+        assert backend_names("smm", "synchronous") == ["vectorized", "reference"]
+        assert backend_names("sis", "synchronous") == ["vectorized", "reference"]
         assert backend_names("luby", "synchronous") == ["vectorized", "reference"]
 
     def test_reference_capabilities_cover_everything(self):
@@ -155,7 +147,7 @@ class TestExplicitBackend:
     def test_result_backend_names_producer(self):
         graph = cycle_graph(6)
         assert run("smm", graph, backend="reference").backend == "reference"
-        assert run("smm", graph, backend="batch").backend == "batch"
+        assert run("smm", graph, backend="vectorized").backend == "vectorized"
 
 
 class TestFallbackBackend:
@@ -198,7 +190,10 @@ class TestFallbackBackend:
             fallback_backend("smm", backend="vectorized", telemetry=True)
             == "vectorized"
         )
-        assert fallback_backend("sis", backend="batch", telemetry=True) == "batch"
+        assert (
+            fallback_backend("luby", backend="vectorized", telemetry=True)
+            == "vectorized"
+        )
         assert (
             fallback_backend(
                 "smm", backend="vectorized", telemetry=True, record_history=True
@@ -251,7 +246,7 @@ class TestTrialSpecBackend:
         graph = cycle_graph(8)
         by_backend = {
             b: execute_trial(TrialSpec("smm", graph, backend=b))
-            for b in ("reference", "vectorized", "batch", "auto")
+            for b in ("reference", "vectorized", "auto")
         }
         assert by_backend["vectorized"].backend == "vectorized"
         assert by_backend["auto"].backend == "vectorized"

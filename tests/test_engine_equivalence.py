@@ -38,6 +38,28 @@ KERNEL_CASES = [
     if backend.name != "reference"
 ]
 
+#: ... plus the batch-sweep path, whose trials run as rows of the
+#: ``(k, n)`` batch kernels and come back labelled ``backend="batch"``
+PATH_CASES = KERNEL_CASES + [("smm", "batch"), ("sis", "batch")]
+
+
+def run_path(key, backend, graph, config=None, *, rng=None, max_rounds=None):
+    """``run(...)`` on ``backend``; the ``"batch"`` path dispatches two
+    identical ``auto`` specs as one batch-sweep group instead and
+    returns the first row."""
+    if backend != "batch":
+        return run(
+            key, graph, config, backend=backend, rng=rng, max_rounds=max_rounds
+        )
+    from repro.parallel import TrialSpec
+    from repro.parallel.batch_sweep import dispatch_groups
+
+    spec = TrialSpec(key, graph, config, backend="auto", max_rounds=max_rounds)
+    results = dispatch_groups([spec, spec])
+    assert sorted(results) == [0, 1]
+    assert results[0].final == results[1].final
+    return results[0]
+
 FAMILIES = ("cycle", "tree", "grid", "er")
 SEEDS = (0, 1, 2)
 
@@ -65,24 +87,24 @@ def assert_equivalent(reference, result):
 class TestKernelEquivalence:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("key,backend", KERNEL_CASES)
+    @pytest.mark.parametrize("key,backend", PATH_CASES)
     def test_backend_matches_reference(self, key, backend, family, seed):
         graph = make_graph(family, seed)
         protocol = make_protocol(key)
         config = random_configuration(protocol, graph, ensure_rng(seed))
         reference = run(key, graph, config, backend="reference", rng=seed)
-        result = run(key, graph, config, backend=backend, rng=seed)
+        result = run_path(key, backend, graph, config, rng=seed)
         assert result.backend == backend
         assert_equivalent(reference, result)
 
-    @pytest.mark.parametrize("key,backend", KERNEL_CASES)
+    @pytest.mark.parametrize("key,backend", PATH_CASES)
     def test_clean_start_matches_reference(self, key, backend):
         graph = cycle_graph(9)
         reference = run(key, graph, backend="reference", rng=7)
-        result = run(key, graph, backend=backend, rng=7)
+        result = run_path(key, backend, graph, rng=7)
         assert_equivalent(reference, result)
 
-    @pytest.mark.parametrize("key,backend", KERNEL_CASES)
+    @pytest.mark.parametrize("key,backend", PATH_CASES)
     def test_timeout_accounting_matches_reference(self, key, backend):
         # a budget of 1 round times out on graphs that need more; both
         # engines must report the same rounds/stabilized/final
@@ -92,7 +114,7 @@ class TestKernelEquivalence:
         reference = run(
             key, graph, config, backend="reference", rng=5, max_rounds=1
         )
-        result = run(key, graph, config, backend=backend, rng=5, max_rounds=1)
+        result = run_path(key, backend, graph, config, rng=5, max_rounds=1)
         assert_equivalent(reference, result)
 
 
@@ -241,22 +263,22 @@ class TestMetricsEquivalence:
 
 
 class TestDegenerateGraphs:
-    @pytest.mark.parametrize("key,backend", KERNEL_CASES)
+    @pytest.mark.parametrize("key,backend", PATH_CASES)
     def test_empty_graph(self, key, backend):
         graph = Graph([], [])
         reference = run(key, graph, backend="reference", rng=0)
-        result = run(key, graph, backend=backend, rng=0)
+        result = run_path(key, backend, graph, rng=0)
         assert_equivalent(reference, result)
         assert result.stabilized and result.rounds == 0
 
-    @pytest.mark.parametrize("key,backend", KERNEL_CASES)
+    @pytest.mark.parametrize("key,backend", PATH_CASES)
     def test_single_node(self, key, backend):
         graph = Graph([3], [])
         reference = run(key, graph, backend="reference", rng=0)
-        result = run(key, graph, backend=backend, rng=0)
+        result = run_path(key, backend, graph, rng=0)
         assert_equivalent(reference, result)
 
-    @pytest.mark.parametrize("key,backend", KERNEL_CASES)
+    @pytest.mark.parametrize("key,backend", PATH_CASES)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_disconnected_components(self, key, backend, seed):
         # two triangles, an edge, and an isolated node
@@ -267,7 +289,7 @@ class TestDegenerateGraphs:
         protocol = make_protocol(key)
         config = random_configuration(protocol, graph, ensure_rng(seed))
         reference = run(key, graph, config, backend="reference", rng=seed)
-        result = run(key, graph, config, backend=backend, rng=seed)
+        result = run_path(key, backend, graph, config, rng=seed)
         assert_equivalent(reference, result)
 
 
@@ -330,14 +352,17 @@ class TestFaultCampaignEquivalence:
         assert result.telemetry.fault_events is not None
 
     def test_fault_plan_degrades_unsupporting_backend(self):
-        # the batch kernel does not implement fault campaigns: the
+        # the Luby kernel does not implement fault campaigns: the
         # static helper degrades it, the explicit request raises
         plan = FaultPlan(events=(FaultEvent(round=3, kind="perturb"),))
-        assert fallback_backend("smm", backend="batch", fault_plan=plan) == (
-            "reference"
-        )
+        assert fallback_backend(
+            "luby", backend="vectorized", fault_plan=plan
+        ) == "reference"
         with pytest.raises(ExperimentError):
-            run("smm", cycle_graph(8), backend="batch", rng=0, fault_plan=plan)
+            run(
+                "luby", cycle_graph(8), backend="vectorized", rng=0,
+                fault_plan=plan,
+            )
 
     def test_empty_plan_matches_plain_run(self):
         # an event-free campaign is still a campaign (telemetry, the
@@ -380,10 +405,10 @@ class TestInvalidConfigurations:
 
 
 class TestPackedStateLayout:
-    """The packed layouts (int32 pointers, uint8/bitset membership) are
-    an internal representation change only: encode/decode round-trips,
-    dtype selection at the int32 boundary, and the packed-bit SIS
-    stepping path must all agree byte-for-byte with the flat kernel."""
+    """The packed layouts (int32 pointers, uint8 membership) are an
+    internal representation change only: encode/decode round-trips and
+    dtype selection at the int32 boundary must agree byte-for-byte with
+    the flat encoding."""
 
     def test_state_dtype_boundary(self):
         import numpy as np
@@ -415,34 +440,6 @@ class TestPackedStateLayout:
         nulls = sum(1 for v in config.values() if v is None)
         assert int((ptr == SMM_NULL).sum()) == nulls
         assert dict(kernel.decode(ptr)) == dict(config)
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_packed_bit_sis_matches_flat(self, family, seed):
-        import numpy as np
-
-        from repro.mis.sis_vectorized import VectorizedSIS
-
-        graph = make_graph(family, seed)
-        kernel = VectorizedSIS(graph)
-        protocol = make_protocol("sis")
-        config = random_configuration(protocol, graph, ensure_rng(seed))
-        x = kernel.encode(config)
-        assert x.dtype == np.dtype(np.uint8)
-        bits = kernel.pack(x)
-        assert bits.dtype == np.dtype(np.uint8)
-        assert bits.nbytes <= x.nbytes // 8 + 1
-        assert np.array_equal(kernel.unpack(bits), x)
-        # step the packed and flat representations side by side to a
-        # fixpoint: byte-identical trajectories
-        for _ in range(graph.n + 8):
-            nxt = kernel.step(x)
-            bits = kernel.step_packed(bits)
-            assert np.array_equal(kernel.unpack(bits), nxt)
-            if np.array_equal(nxt, x):
-                break
-            x = nxt
-        assert dict(kernel.decode(kernel.unpack(bits))) == dict(kernel.decode(x))
 
 
 class TestBatchSweepDispatch:

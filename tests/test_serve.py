@@ -88,6 +88,48 @@ class TestRequestSchema:
         assert spec.seed == 3
         assert request.mode == "auto"
 
+    @pytest.mark.parametrize("backend", ["batch", "nope"])
+    def test_unknown_backend_rejected(self, backend):
+        trial = {
+            "protocol": "sis",
+            "graph": {"family": "cycle", "n": 6},
+            "backend": backend,
+        }
+        with pytest.raises(RequestError, match="backend"):
+            parse_sweep_request({"trials": [trial]})
+        sweep = {"protocol": "sis", "family": "cycle", "n": 6, "backend": backend}
+        with pytest.raises(RequestError, match="backend"):
+            parse_sweep_request({"sweep": sweep})
+
+    def test_registered_backends_accepted(self):
+        for backend in ("auto", "reference", "vectorized"):
+            request = parse_sweep_request(
+                {
+                    "trials": [
+                        {
+                            "protocol": "smm",
+                            "graph": {"family": "cycle", "n": 6},
+                            "backend": backend,
+                        }
+                    ]
+                }
+            )
+            assert request.specs[0].backend == backend
+        # a backend registered for one protocol is unknown for another
+        with pytest.raises(RequestError, match="backend"):
+            parse_sweep_request(
+                {
+                    "trials": [
+                        {
+                            "protocol": "hsu-huang",
+                            "daemon": "central",
+                            "graph": {"family": "cycle", "n": 6},
+                            "backend": "vectorized",
+                        }
+                    ]
+                }
+            )
+
     def test_explicit_graph_form(self):
         request = parse_sweep_request(
             {
@@ -642,6 +684,38 @@ class TestServeHTTP:
         summary = write_report(str(saved), str(out))
         assert out.exists()
         assert "2" in summary
+
+    @pytest.mark.parametrize("backend", ["batch", "nope"])
+    @pytest.mark.parametrize("form", ["trials", "sweep"])
+    def test_unknown_backend_rejected_without_a_job(
+        self, http_server, form, backend
+    ):
+        if form == "trials":
+            body = {
+                "trials": [
+                    {
+                        "protocol": "smm",
+                        "graph": {"family": "cycle", "n": 6},
+                        "backend": backend,
+                    }
+                ]
+            }
+        else:
+            body = {
+                "sweep": {
+                    "protocol": "smm",
+                    "family": "cycle",
+                    "n": 6,
+                    "trials": 2,
+                    "backend": backend,
+                }
+            }
+        code, raw, _ = _request(http_server, "POST", "/v1/sweeps", body)
+        assert code == 400
+        assert "backend" in json.loads(raw)["error"]
+        code, raw, _ = _request(http_server, "GET", "/v1/jobs")
+        assert code == 200
+        assert json.loads(raw)["jobs"] == []
 
     def test_error_paths(self, http_server):
         code, raw, _ = _request(http_server, "GET", "/v1/jobs/nope")

@@ -44,7 +44,7 @@ class TestStepEquivalence:
         ref = run_synchronous(SIS, g, cfg, record_history=True)
         x = vec.encode(cfg)
         for expected in ref.history[1:]:
-            x = vec.step(x)
+            x = vec.step(x[None])[0]
             assert vec.decode(x) == expected
 
     def test_id_comparison_uses_ids_not_indices(self):

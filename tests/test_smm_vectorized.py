@@ -47,7 +47,7 @@ class TestStepEquivalence:
         ref = run_synchronous(SMM, g, cfg, record_history=True)
         ptr = vec.encode(cfg)
         for expected in ref.history[1:]:
-            ptr = vec.step(ptr)[0]
+            ptr = vec.step(ptr[None])[0][0]
             assert vec.decode(ptr) == expected
 
     def test_larger_random_graphs(self, rng):
@@ -58,7 +58,7 @@ class TestStepEquivalence:
             vec = VectorizedSMM(g)
             ptr = vec.encode(cfg)
             for expected in ref.history[1:]:
-                ptr = vec.step(ptr)[0]
+                ptr = vec.step(ptr[None])[0][0]
             assert vec.decode(ptr) == ref.final
 
 
