@@ -509,8 +509,8 @@ def cmd_stream(
     )
     print(
         f"  recovered {summary['recovered']}/{summary['events']} "
-        f"({stream_report.recovered_frac:.2%}), "
-        f"p50/p99 re-stabilization {summary['p50_rounds']}/"
+        f"({stream_report.recovered_frac:.2%}; {summary['censored']} "
+        f"censored), p50/p99 re-stabilization {summary['p50_rounds']}/"
         f"{summary['p99_rounds']} rounds, "
         f"radius max {summary['radius_max']}, "
         f"{stream_report.events_per_sec:.1f} events/s"

@@ -156,12 +156,20 @@ def _make_recorder(protocol: Protocol, graph: Graph, daemon: str):
     return recorder, census_fn
 
 
+def _as_configuration(
+    protocol: Protocol, graph: Graph, config: Optional[Mapping[NodeId, object]]
+) -> Configuration:
+    """``config`` as a :class:`Configuration` (``None`` is the clean
+    start), unvalidated — the array kernels validate in ``encode``."""
+    if config is None:
+        config = {node: protocol.initial_state(node, graph) for node in graph.nodes}
+    return config if isinstance(config, Configuration) else Configuration(config)
+
+
 def _resolve_config(
     protocol: Protocol, graph: Graph, config: Optional[Mapping[NodeId, object]]
 ) -> Configuration:
-    if config is None:
-        config = {node: protocol.initial_state(node, graph) for node in graph.nodes}
-    cfg = config if isinstance(config, Configuration) else Configuration(config)
+    cfg = _as_configuration(protocol, graph, config)
     protocol.validate_configuration(graph, cfg)
     return cfg
 

@@ -3,12 +3,13 @@
 One body turns a kernel class (:class:`~repro.matching.smm_vectorized.VectorizedSMM`,
 :class:`~repro.mis.sis_vectorized.VectorizedSIS`,
 :class:`~repro.mis.luby_vectorized.VectorizedLuby`) into a registered
-``"vectorized"`` backend, in the reference engine's order: resolve and
-validate the configuration → default round budget → encode → run →
-decode → :class:`~repro.engine.result.RunResult` → legitimacy → timeout
-raise.  Telemetry is an observer on the kernel's own stepping loop, so a
-watched run takes exactly the path of an unwatched one — frontier
-stepping included.
+``"vectorized"`` backend, in the reference engine's order: resolve the
+configuration → default round budget → encode (which validates, with the
+reference engine's error) → run → decode →
+:class:`~repro.engine.result.RunResult` → legitimacy (the kernel's
+``legitimate`` on the final array) → timeout raise.  Telemetry is an
+observer on the kernel's own stepping loop, so a watched run takes
+exactly the path of an unwatched one — frontier stepping included.
 """
 
 from __future__ import annotations
@@ -87,11 +88,11 @@ def run_kernel(
             max_rounds=max_rounds,
             raise_on_timeout=raise_on_timeout,
         )
-    from repro.core.executor import _default_round_budget, _resolve_config
+    from repro.core.executor import _as_configuration, _default_round_budget
     from repro.engine.result import RunResult
     from repro.errors import StabilizationTimeout
 
-    initial = _resolve_config(protocol, graph, config)
+    initial = _as_configuration(protocol, graph, config)
     budget = max_rounds if max_rounds is not None else _default_round_budget(graph)
     kernel = kernel_cls(graph)
     state = kernel.encode(initial)
@@ -115,7 +116,7 @@ def run_kernel(
         moves_by_rule=res.moves_by_rule,
         initial=initial,
         final=final,
-        legitimate=protocol.is_legitimate(graph, final),
+        legitimate=kernel.legitimate(res.final_state),
         backend="vectorized",
     )
     if recorder is not None:

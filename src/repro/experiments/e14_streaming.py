@@ -13,8 +13,11 @@ SLOs:
   the next event) re-stabilized; below 1.0 the engine is falling
   behind the event rate, which is itself the measurement — the
   sustainable-rate frontier;
+* ``censored`` — events whose window closed before re-stabilization;
+  their window lengths are lower bounds, not latencies;
 * ``p50_rounds`` / ``p99_rounds`` — re-stabilization latency
-  percentiles, in rounds (exact nearest-rank over all events);
+  percentiles, in rounds (exact nearest-rank over the recovered events
+  only; empty when none recovered);
 * ``radius_max`` — worst containment radius (hops from an event's
   fault sites to a node that moved during its window);
 * ``events_per_sec`` — wall-clock stream throughput of the backend.
@@ -67,6 +70,7 @@ def run(
             "rate",
             "events",
             "recovered_frac",
+            "censored",
             "p50_rounds",
             "p99_rounds",
             "moves",
@@ -118,6 +122,7 @@ def run(
                     rate=rate,
                     events=report.events,
                     recovered_frac=report.recovered_frac,
+                    censored=report.censored,
                     p50_rounds=report.p50_rounds,
                     p99_rounds=report.p99_rounds,
                     moves=report.moves,

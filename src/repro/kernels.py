@@ -6,15 +6,24 @@ each round only the nodes whose closed neighbourhood changed need their
 decision recomputed.  The helpers here turn a set of dirty rows of a CSR
 adjacency into flat entry positions without any per-row Python loop,
 provide the packed state layout primitives shared by the single-run and
-batch kernels, and hold :class:`FrontierKernel` — the one stepping loop
-both kernels run:
+batch kernels, and hold the two base classes — :class:`KernelBoundary`,
+the array-native run boundary of every kernel (SMM, SIS and Luby), and
+:class:`FrontierKernel`, the one stepping loop the SMM and SIS kernels
+run:
 
 * :func:`state_dtype` — the narrowest signed integer dtype that can hold
   a dense pointer value plus the ``n`` "+inf" sentinel used by segmented
   minima (int32 up to ~2**31 nodes, int64 beyond).
-* :func:`segment_min` / :func:`segment_any` — per-CSR-row reductions via
-  ``ufunc.reduceat`` (contiguous segments), replacing the buffered
-  ``ufunc.at`` scatter which is an order of magnitude slower.
+* :func:`segment_reduce` (and :func:`segment_min` / :func:`segment_any`)
+  — per-CSR-row reductions via ``ufunc.reduceat`` (contiguous
+  segments), replacing the buffered ``ufunc.at`` scatter which is an
+  order of magnitude slower.
+* :func:`smm_dense_pointers` / :func:`smm_pointer_ok` — SMM pointer
+  states as a dense array, and the one SMM pointer check (is each
+  pointer a neighbour?), shared by encode-time validation, the kernel's
+  legitimacy predicate and the convergence monitor.
+* :class:`KernelBoundary` — validate-in-``encode``, loop-free
+  ``decode`` and ``legitimate`` on the dense state.
 * :meth:`FrontierKernel.drive` — the frontier driver: plain runs,
   telemetry, fault campaigns and streams all step through it.
 
@@ -27,7 +36,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import StabilizationTimeout
+from repro.core.configuration import Configuration
+from repro.errors import InvalidConfigurationError, StabilizationTimeout
 
 #: Explicit NULL-pointer sentinel of the packed SMM layout (dense pointer
 #: arrays hold values in ``{SMM_NULL} ∪ {0..n-1}``).
@@ -72,39 +82,179 @@ def closed_neighborhood(
     return np.unique(np.concatenate((rows, indices[positions])))
 
 
-def segment_min(vals: np.ndarray, indptr: np.ndarray, sentinel: int) -> np.ndarray:
-    """Per-segment minimum of contiguous segments of ``vals``.
+def segment_reduce(
+    ufunc: np.ufunc, vals: np.ndarray, indptr: np.ndarray, fill
+) -> np.ndarray:
+    """Per-segment ``ufunc`` reduction along the last axis of ``vals``.
 
-    ``indptr`` delimits ``len(indptr) - 1`` segments exactly like a CSR
-    row pointer.  Empty segments yield ``sentinel``.  ``reduceat`` on an
-    empty segment returns the *next* segment's first element (documented
-    NumPy behaviour), so empty segments are masked explicitly, and start
-    offsets are clipped into range for trailing empty segments.
+    ``indptr`` delimits ``len(indptr) - 1`` contiguous segments exactly
+    like a CSR row pointer; ``vals`` is ``(entries,)`` or ``(k,
+    entries)`` and the result ``(segments,)`` or ``(k, segments)``.
+    Empty segments yield ``fill``.  ``reduceat`` needs every start in
+    range, so it runs over the segments through the last non-empty one
+    only (clipping a trailing empty segment's start into range would cut
+    the last non-empty segment short); empty segments, for which it
+    returns the next segment's first element, are masked.
     """
     nseg = indptr.size - 1
-    if vals.size == 0:
-        return np.full(nseg, sentinel, dtype=vals.dtype)
-    empty = indptr[:-1] == indptr[1:]
-    starts = np.minimum(indptr[:-1], vals.size - 1)
-    out = np.minimum.reduceat(vals, starts)
-    out[empty] = sentinel
+    live = int(np.searchsorted(indptr, indptr[-1]))  # through last non-empty
+    if live == nseg:
+        out = ufunc.reduceat(vals, indptr[:-1], axis=-1)
+    else:
+        out = np.full(vals.shape[:-1] + (nseg,), fill, dtype=vals.dtype)
+        if live:
+            out[..., :live] = ufunc.reduceat(vals, indptr[:live], axis=-1)
+    out[..., indptr[:-1] == indptr[1:]] = fill
     return out
+
+
+def segment_min(vals: np.ndarray, indptr: np.ndarray, sentinel: int) -> np.ndarray:
+    """Per-segment minimum of contiguous segments along the last axis of
+    ``vals`` (:func:`segment_reduce`); empty segments yield ``sentinel``."""
+    return segment_reduce(np.minimum, vals, indptr, sentinel)
 
 
 def segment_any(mask: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-segment logical OR of contiguous segments of a boolean ``mask``.
+    """Per-segment logical OR of contiguous segments along the last axis
+    of a boolean ``mask`` (:func:`segment_reduce`); empty segments yield
+    ``False``."""
+    return segment_reduce(np.logical_or, mask, indptr, False)
 
-    Same segment convention and empty-segment handling as
-    :func:`segment_min`; empty segments yield ``False``.
+
+def ordered_states(graph, config) -> Optional[list]:
+    """The states of ``config`` in dense order (ascending id), or
+    ``None`` when its domain is not exactly the node set of ``graph``."""
+    states = getattr(config, "_states", None)
+    if states is None:
+        states = dict(config)
+    if len(states) != graph.n:
+        return None
+    try:
+        return list(map(states.__getitem__, graph.dense_index()))
+    except KeyError:
+        return None
+
+
+#: Dense-pointer marker for a target id that is not a node (never a
+#: kernel state: ``encode`` rejects it; the convergence monitor counts it).
+SMM_NOT_A_NODE = -2
+
+
+def smm_dense_pointers(graph, config) -> Optional[np.ndarray]:
+    """Dense int64 pointer array of a ``{node: Pointer}`` mapping —
+    :data:`SMM_NULL` for ``None``, :data:`SMM_NOT_A_NODE` for a target
+    id outside the node set — or ``None`` when the domain is not the
+    node set or some pointer is not an integer id."""
+    states = ordered_states(graph, config)
+    if states is None:
+        return None
+    n = graph.n
+    ids = graph.adjacency_arrays()[2]
+    null = int(ids[-1]) + 1 if n else 0  # stand-in, not an id
+    try:
+        targets = np.asarray([null if p is None else p for p in states])
+    except (TypeError, ValueError):
+        return None
+    if targets.ndim != 1:
+        return None
+    if targets.dtype.kind == "f":  # integral floats name ids exactly
+        with np.errstate(invalid="ignore"):
+            as_int = targets.astype(np.int64)
+        if not (as_int == targets).all():
+            return None
+        targets = as_int
+    elif targets.dtype.kind not in "bi":
+        return None
+    is_null = targets == null
+    if np.count_nonzero(is_null) != states.count(None):
+        # some pointer names the stand-in id itself: not a node
+        is_null = np.array([p is None for p in states], dtype=bool)
+    if n and ids[0] == 0 and ids[-1] == n - 1:
+        # ids are exactly 0..n-1: an id is its dense index
+        dense = targets
+        found = (targets >= 0) & (targets < n)
+    else:  # ids ascend, so a binary search maps them to dense indices
+        dense = np.minimum(np.searchsorted(ids, targets), max(n - 1, 0))
+        found = ids[dense] == targets
+    return np.where(found, dense, np.where(is_null, SMM_NULL, SMM_NOT_A_NODE))
+
+
+def smm_pointer_ok(
+    indices: np.ndarray, row: np.ndarray, ptr: np.ndarray
+) -> np.ndarray:
+    """``ok[i]``: the dense pointer ``ptr[i]`` is a neighbour of ``i``.
+
+    One O(m) pass over the CSR entries (``row[e]`` owns entry ``e``).
+    Negative values — null, or any "not a node" marker — and
+    self-pointers are never ok: no CSR row lists its own index.
     """
-    nseg = indptr.size - 1
-    if mask.size == 0:
-        return np.zeros(nseg, dtype=bool)
-    empty = indptr[:-1] == indptr[1:]
-    starts = np.minimum(indptr[:-1], mask.size - 1)
-    out = np.logical_or.reduceat(mask, starts)
-    out[empty] = False
-    return out
+    ok = np.zeros(ptr.shape[0], dtype=bool)
+    ok[row[indices == ptr[row]]] = True
+    return ok
+
+
+class KernelBoundary:
+    """The run boundary shared by every array kernel, on packed arrays.
+
+    * ``encode`` validates while it packs: one array pass checks the
+      domain and the state space, and a configuration the pass refuses
+      is handed to the protocol's own
+      :meth:`~repro.core.protocol.Protocol.validate_configuration`, so
+      the :class:`~repro.errors.InvalidConfigurationError` (and its
+      message) is exactly the reference engine's.
+    * ``decode`` is one ``tolist()`` and a ``zip`` with the ids.
+    * ``legitimate(state)`` is the protocol's legitimacy predicate on
+      the dense state.  This default decodes and asks the protocol
+      itself; the built-in kernels override it with array predicates
+      pinned against ``is_legitimate`` by ``tests/test_boundary.py``.
+
+    A subclass names its protocol class in ``PROTOCOL`` (instantiated
+    without arguments for the error message and the default predicate).
+    """
+
+    PROTOCOL: type
+
+    def __init__(self, graph) -> None:
+        self.graph = graph
+        # adjacency_arrays() is cached on the (immutable) graph, so
+        # constructing many kernels over one graph — the E10 sweep inner
+        # loop, every fault event of a stream — is O(1) after the first
+        indptr, indices, ids = graph.adjacency_arrays()
+        self.n = graph.n
+        self._indptr = indptr
+        self._indices = indices
+        self._ids = ids
+        # ids ascending, in dense order (iterating it yields the ids)
+        self._id_to_dense = graph.dense_index()
+
+    def _reject(self, config):
+        """Raise the protocol's own error for a configuration the array
+        checks refused."""
+        self.PROTOCOL().validate_configuration(self.graph, config)
+        raise InvalidConfigurationError(
+            f"configuration is outside {type(self).__name__}'s state encoding"
+        )
+
+    def _bits(self, config, dtype) -> np.ndarray:
+        """Dense 0/1 state array of a bit protocol (SIS, Luby)."""
+        states = ordered_states(self.graph, config)
+        if states is None:
+            self._reject(config)
+        try:
+            x = np.asarray(states)
+        except (TypeError, ValueError):  # ragged or otherwise exotic
+            self._reject(config)
+        if x.ndim != 1 or not ((x == 0) | (x == 1)).all():
+            self._reject(config)
+        return x.astype(dtype)
+
+    def _decode(self, values: list) -> Configuration:
+        """Configuration from per-dense-index state values."""
+        return Configuration(zip(self._id_to_dense, values))
+
+    def legitimate(self, state: np.ndarray) -> bool:
+        """The protocol's legitimacy predicate on a dense state."""
+        return self.PROTOCOL().is_legitimate(self.graph, self.decode(state))
 
 
 #: Frontier size at or below which a round decides through the kernel's
@@ -118,14 +268,15 @@ SCALAR_MAX = 32
 Observer = Callable[[Dict[str, int], int, np.ndarray], None]
 
 
-class FrontierKernel:
+class FrontierKernel(KernelBoundary):
     """The stepping loop shared by the SMM and SIS array kernels.
 
     The constructor holds the graph's CSR arrays and the state dtype.  A
-    subclass supplies its clean-start value (``CLEAN``), its rule names
-    (``RULES``), its result
+    subclass supplies its protocol (``PROTOCOL``, see
+    :class:`KernelBoundary`), its clean-start value (``CLEAN``), its rule
+    names (``RULES``), its result
     dataclass (``Result``: ``stabilized, rounds, moves, moves_by_rule``
-    and the final state array, positionally), ``encode`` for
+    and the final state array, positionally), ``encode``/``decode`` for
     configurations, and three round functions with one contract — each
     returns ``(movers, vals, counts)``: the nodes that fire, the states
     they adopt, and the per-rule firing counts:
@@ -145,25 +296,8 @@ class FrontierKernel:
     _indices_list: Optional[List[int]] = None
 
     def __init__(self, graph, dtype) -> None:
-        self.graph = graph
-        # adjacency_arrays() is cached on the (immutable) graph, so
-        # constructing many kernels over one graph — the E10 sweep inner
-        # loop, every fault event of a stream — is O(1) after the first
-        indptr, indices, ids = graph.adjacency_arrays()
-        self.n = graph.n
+        super().__init__(graph)
         self._dtype = np.dtype(dtype)
-        self._indptr = indptr
-        self._indices = indices
-        self._ids = ids
-        self._id_to_dense = graph.dense_index()
-        # reduceat segment boundaries for the (k, n) step (CSR rows are
-        # contiguous along the entry axis); empty rows are masked
-        # explicitly — reduceat on an empty segment would return the
-        # next segment's first element
-        self._seg_empty = indptr[:-1] == indptr[1:]
-        self._seg_starts = (
-            np.minimum(indptr[:-1], indices.size - 1) if indices.size else None
-        )
 
     def _scalar_csr(self) -> Tuple[List[int], List[int]]:
         """Plain-list CSR mirror for the scalar round, built on first

@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.core.configuration import Configuration
 from repro.engine.adapter import telemetry_run  # noqa: F401  (module API)
-from repro.errors import InvalidConfigurationError
 from repro.graphs.graph import Graph
 from repro.kernels import (
     SMM_NULL,
@@ -46,9 +45,12 @@ from repro.kernels import (
     csr_entry_positions,
     segment_any,
     segment_min,
+    smm_dense_pointers,
+    smm_pointer_ok,
     state_dtype,
 )
-from repro.types import NodeId, Pointer
+from repro.matching.smm import SynchronousMaximalMatching
+from repro.types import NodeId
 
 
 @dataclass
@@ -70,9 +72,11 @@ class VectorResult:
 class VectorizedSMM(FrontierKernel):
     """SMM rounds as NumPy array operations over one fixed graph."""
 
+    PROTOCOL = SynchronousMaximalMatching
     RULES = ("R1", "R2", "R3")
     CLEAN = SMM_NULL
     Result = VectorResult
+    _lookup = None
 
     def __init__(self, graph: Graph) -> None:
         super().__init__(graph, state_dtype(graph.n))
@@ -86,29 +90,44 @@ class VectorizedSMM(FrontierKernel):
         self._arange = np.arange(self.n, dtype=self._dtype)
 
     # ------------------------------------------------------------------
-    # encoding helpers
+    # the run boundary
     # ------------------------------------------------------------------
+    def pointer_ok(self, ptr: np.ndarray) -> np.ndarray:
+        """``ok[i]``: ``ptr[i]`` is a neighbour of ``i``
+        (:func:`repro.kernels.smm_pointer_ok`)."""
+        return smm_pointer_ok(self._indices, self._row, ptr)
+
     def encode(self, config) -> np.ndarray:
-        """Dense pointer array from a ``{node: Pointer}`` mapping."""
-        ptr = np.full(self.n, SMM_NULL, dtype=self._dtype)
-        for node, p in dict(config).items():
-            k = self._id_to_dense[int(node)]
-            if p is not None:
-                try:
-                    ptr[k] = self._id_to_dense[int(p)]
-                except KeyError:
-                    raise InvalidConfigurationError(
-                        f"pointer target {p!r} is not a node"
-                    ) from None
-        return ptr
+        """Dense pointer array from a ``{node: Pointer}`` mapping,
+        validated on the way: the domain must be the node set and every
+        pointer null or a neighbour, else the protocol's own
+        :class:`~repro.errors.InvalidConfigurationError` is raised."""
+        ptr = smm_dense_pointers(self.graph, config)
+        if ptr is None or ((ptr != SMM_NULL) & ~self.pointer_ok(ptr)).any():
+            self._reject(config)
+        return ptr.astype(self._dtype)
 
     def decode(self, ptr: np.ndarray) -> Configuration:
         """``{node: Pointer}`` configuration from a dense pointer array."""
-        states: Dict[NodeId, Pointer] = {}
-        for k in range(self.n):
-            target = int(ptr[k])
-            states[int(self._ids[k])] = None if target < 0 else int(self._ids[target])
-        return Configuration(states)
+        if self._lookup is None:
+            # target id per dense index, with None last: SMM_NULL = -1
+            # indexes it
+            self._lookup = np.array([*self._id_to_dense, None], dtype=object)
+        return self._decode(self._lookup[ptr].tolist())
+
+    def legitimate(self, ptr: np.ndarray) -> bool:
+        """Lemma 8 on the dense array — equal to
+        :meth:`SynchronousMaximalMatching.is_legitimate` of the decoded
+        configuration: every non-null pointer is reciprocated along an
+        edge (so the matched pairs are a matching of the graph and every
+        unmatched node is null), and no edge joins two null nodes
+        (maximality)."""
+        pointing = ptr >= 0
+        target = np.where(pointing, ptr, 0)
+        matched = pointing & (ptr[target] == self._arange) & self.pointer_ok(ptr)
+        if (pointing & ~matched).any():
+            return False
+        return not (~pointing[self._row] & ~pointing[self._indices]).any()
 
     # ------------------------------------------------------------------
     # the round kernel
@@ -127,20 +146,14 @@ class VectorizedSMM(FrontierKernel):
         sentinel = n  # acts as +inf for segmented minima
 
         is_null = ptrs < 0
-        if self._seg_starts is None:  # edgeless graph: nothing proposes
-            min_proposer = np.full((k, n), sentinel, dtype=ptrs.dtype)
-            min_null = min_proposer
-        else:
-            # pointer of each CSR entry (np.take beats fancy indexing ~2x)
-            neighbor_ptr = np.take(ptrs, indices, axis=1)
-            # min proposer per node: neighbours j with ptr[j] == me
-            vals = np.where(neighbor_ptr == self._row, indices, sentinel)
-            min_proposer = np.minimum.reduceat(vals, self._seg_starts, axis=1)
-            min_proposer[:, self._seg_empty] = sentinel
-            # min null neighbour per node
-            vals = np.where(neighbor_ptr < 0, indices, sentinel)
-            min_null = np.minimum.reduceat(vals, self._seg_starts, axis=1)
-            min_null[:, self._seg_empty] = sentinel
+        # pointer of each CSR entry (np.take beats fancy indexing ~2x)
+        neighbor_ptr = np.take(ptrs, indices, axis=1)
+        # min proposer per node: neighbours j with ptr[j] == me
+        vals = np.where(neighbor_ptr == self._row, indices, sentinel)
+        min_proposer = segment_min(vals, self._indptr, sentinel)
+        # min null neighbour per node
+        vals = np.where(neighbor_ptr < 0, indices, sentinel)
+        min_null = segment_min(vals, self._indptr, sentinel)
         has_proposer = min_proposer < sentinel
 
         r1 = is_null & has_proposer
@@ -179,13 +192,7 @@ class VectorizedSMM(FrontierKernel):
         it, so one check of the initial array suffices; raw dense input
         with non-neighbour pointers runs full scans instead.
         """
-        owners = np.nonzero(ptr >= 0)[0]
-        if owners.size == 0:
-            return True
-        positions, counts = csr_entry_positions(self._indptr, owners)
-        hit = self._indices[positions] == np.repeat(ptr[owners], counts)
-        seg = np.concatenate(([0], np.cumsum(counts)))
-        return bool(segment_any(hit, seg).all())
+        return not ((ptr >= 0) & ~self.pointer_ok(ptr)).any()
 
     def _gather_round(self, ptr: np.ndarray, rows: np.ndarray):
         """The decisions of ``rows`` against ``ptr``, from their CSR

@@ -28,7 +28,8 @@ import numpy as np
 from repro.core.configuration import Configuration
 from repro.errors import StabilizationTimeout
 from repro.graphs.graph import Graph
-from repro.kernels import Observer
+from repro.kernels import KernelBoundary, Observer, segment_any
+from repro.mis.variants import LubyStyleMIS
 from repro.rng import RngLike, ensure_rng
 from repro.types import NodeId
 
@@ -48,29 +49,25 @@ class VectorResult:
         return self.final_x
 
 
-class VectorizedLuby:
+class VectorizedLuby(KernelBoundary):
     """Luby-style MIS rounds as array operations over one fixed graph."""
 
+    PROTOCOL = LubyStyleMIS
+
     def __init__(self, graph: Graph) -> None:
-        self.graph = graph
-        indptr, indices, ids = graph.adjacency_arrays()
-        self.n = graph.n
-        self._indices = indices
-        self._ids = ids
-        self._id_to_dense = {int(node): k for k, node in enumerate(ids)}
-        self._row = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
+        super().__init__(graph)
+        self._row = np.repeat(
+            np.arange(self.n, dtype=np.int64), np.diff(self._indptr)
+        )
 
     # ------------------------------------------------------------------
     def encode(self, config) -> np.ndarray:
-        x = np.zeros(self.n, dtype=np.int8)
-        for node, value in dict(config).items():
-            x[self._id_to_dense[int(node)]] = int(value)
-        return x
+        """Dense 0/1 array from a ``{node: bit}`` mapping, validated on
+        the way (see :class:`repro.kernels.KernelBoundary`)."""
+        return self._bits(config, np.int8)
 
     def decode(self, x: np.ndarray) -> Configuration:
-        return Configuration(
-            {int(self._ids[k]): int(x[k]) for k in range(self.n)}
-        )
+        return self._decode(x.tolist())
 
     # ------------------------------------------------------------------
     def step(self, x: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -103,15 +100,17 @@ class VectorizedLuby:
 
     def is_quiescent(self, x: np.ndarray) -> bool:
         """Structural termination: the in-set is an MIS (vectorized)."""
-        idx = self._indices
-        row = self._row
+        in_set_nb = x[self._indices] == 1
         # independence: no edge with both endpoints in the set
-        if bool(((x[row] == 1) & (x[idx] == 1)).any()):
+        if bool((in_set_nb & (x[self._row] == 1)).any()):
             return False
         # domination: every out-node has an in-set neighbour
-        dominated = np.zeros(self.n, dtype=bool)
-        np.logical_or.at(dominated, row, x[idx] == 1)
+        dominated = segment_any(in_set_nb, self._indptr)
         return bool((dominated | (x == 1)).all())
+
+    #: :meth:`LubyStyleMIS.is_legitimate` — the in-set is a maximal
+    #: independent set — is the quiescence predicate
+    legitimate = is_quiescent
 
     # ------------------------------------------------------------------
     def run(

@@ -42,6 +42,7 @@ from repro.core.configuration import Configuration
 from repro.engine.adapter import telemetry_run  # noqa: F401  (module API)
 from repro.graphs.graph import Graph
 from repro.kernels import FrontierKernel, csr_entry_positions, segment_any
+from repro.mis.sis import SynchronousMaximalIndependentSet
 from repro.types import NodeId
 
 
@@ -63,6 +64,7 @@ class VectorResult:
 class VectorizedSIS(FrontierKernel):
     """SIS rounds as NumPy array operations over one fixed graph."""
 
+    PROTOCOL = SynchronousMaximalIndependentSet
     RULES = ("R1", "R2")
     CLEAN = 0
     Result = VectorResult
@@ -77,15 +79,19 @@ class VectorizedSIS(FrontierKernel):
         self._bigger_entry = self._ids[self._indices] > self._ids[self._row]
 
     def encode(self, config) -> np.ndarray:
-        x = np.zeros(self.n, dtype=np.uint8)
-        for node, value in dict(config).items():
-            x[self._id_to_dense[int(node)]] = int(value)
-        return x
+        """Dense 0/1 array from a ``{node: bit}`` mapping, validated on
+        the way (see :class:`repro.kernels.KernelBoundary`)."""
+        return self._bits(config, np.uint8)
 
     def decode(self, x: np.ndarray) -> Configuration:
-        return Configuration(
-            {int(self._ids[k]): int(x[k]) for k in range(self.n)}
-        )
+        return self._decode(x.tolist())
+
+    def legitimate(self, x: np.ndarray) -> bool:
+        """The SIS fixpoint on the dense array — equal to
+        :meth:`SynchronousMaximalIndependentSet.is_legitimate` of the
+        decoded configuration: ``x(i) = 1 ⟺ ¬blocked(i)`` for every
+        node, one :meth:`step` worth of array work."""
+        return bool(((self.step(x[None])[0] == 1) == (x == 1)).all())
 
     # ------------------------------------------------------------------
     # the round kernel
@@ -93,13 +99,9 @@ class VectorizedSIS(FrontierKernel):
     def step(self, xs: np.ndarray) -> np.ndarray:
         """One synchronous round for every row of a ``(k, n)`` state
         matrix: ``x' = ¬(∃ bigger in-set neighbour)``."""
-        k, n = xs.shape
-        if self._seg_starts is None:  # edgeless graph: nobody is blocked
-            return np.ones((k, n), dtype=np.uint8)
         in_set = np.take(xs, self._indices, axis=1) == 1
         in_set_entry = in_set & self._bigger_entry
-        blocked = np.logical_or.reduceat(in_set_entry, self._seg_starts, axis=1)
-        blocked[:, self._seg_empty] = False
+        blocked = segment_any(in_set_entry, self._indptr)
         return (~blocked).astype(np.uint8)
 
     @staticmethod

@@ -166,56 +166,31 @@ def matching_violations(graph, config) -> int:
 
 def _matching_checks_fast(graph, config):
     """``(pointer_violations, matching_violations)`` in O(n + m) array
-    work over the graph's cached CSR — the hot path behind
-    :func:`convergence_report` (the pure-Python definitions above stay
-    the readable spec; equality is pinned by the observatory tests).
-    Returns ``None`` when the configuration is not CSR-indexable
-    (states outside the node set other than ``None``), sending the
-    caller down the reference path."""
+    work — the hot path behind :func:`convergence_report`, on the SMM
+    kernels' dense pointers and their one pointer check
+    (:func:`repro.kernels.smm_pointer_ok`); the pure-Python definitions
+    above stay the readable spec (equality is pinned by
+    ``tests/test_boundary.py``).  Returns ``None`` when the
+    configuration is not CSR-indexable (states that are neither ``None``
+    nor integer ids), sending the caller down the reference path."""
     import numpy as np
 
-    indptr, indices, ids = graph.adjacency_arrays()
-    n = int(len(ids))
-    if n == 0:
-        return 0, 0
-    states = getattr(config, "_states", config)  # skip Mapping dispatch
-    ids_list = ids.tolist()
-    try:
-        if int(ids[0]) == 0 and int(ids[-1]) == n - 1:
-            # dense ids (every generated graph): node id == dense index,
-            # so the encode loop needs no index lookups at all
-            ptr = np.asarray(
-                [
-                    -1 if (p := states[node]) is None else p
-                    for node in ids_list
-                ],
-                dtype=np.int64,
-            )
-            ptr[(ptr < -1) | (ptr >= n)] = -2  # -2: outside graph
-        else:
-            pos = graph.dense_index()
-            ptr = np.empty(n, dtype=np.int64)
-            for k, node in enumerate(ids_list):
-                p = states[node]
-                if p is None:
-                    ptr[k] = -1
-                else:
-                    dense = pos.get(p)
-                    ptr[k] = -2 if dense is None else dense
-    except (KeyError, TypeError, ValueError):  # exotic states
+    from repro.kernels import SMM_NULL, smm_dense_pointers, smm_pointer_ok
+
+    ptr = smm_dense_pointers(graph, config)
+    if ptr is None:
         return None
+    indptr, indices, _ = graph.adjacency_arrays()
+    row = np.repeat(np.arange(graph.n), np.diff(indptr))
+    bad = (ptr != SMM_NULL) & ~smm_pointer_ok(indices, row, ptr)
+    if not bad.any():  # every pair is then an edge: the common case
+        return 0, 0
+    arange = np.arange(graph.n)
     pointing = ptr >= 0
-    # per directed CSR edge (i -> j): does i's pointer land on j?
-    row = np.repeat(np.arange(n), np.diff(indptr))
-    ok = np.zeros(n, dtype=bool)
-    hit = ptr[row] == indices
-    ok[row[hit]] = True  # ok[i]: ptr[i] is a real neighbour of i
-    bad_ptr = int((pointing & ~ok).sum()) + int((ptr == -2).sum())
     target = np.where(pointing, ptr, 0)
-    reciprocal = pointing & (ptr[target] == np.arange(n))
-    reciprocal &= ptr != np.arange(n)  # self-pointers are not pairs
-    bad_match = int((reciprocal & ~ok).sum())
-    return bad_ptr, bad_match
+    # self-pointers are not pairs
+    reciprocal = pointing & (ptr[target] == arange) & (ptr != arange)
+    return int(bad.sum()), int((reciprocal & bad).sum())
 
 
 def independence_violations(graph, config) -> int:
@@ -377,12 +352,15 @@ def convergence_report(result, graph) -> Dict[str, Any]:
             checks["quiescent_symmetric"] = 0
     elif family == "independent":
         if result.stabilized:
-            checks["independent_at_quiescence"] = independence_violations(
-                graph, result.final
+            # the definitions above, as array passes over the CSR
+            from repro.mis.sis_vectorized import VectorizedSIS
+
+            kernel = VectorizedSIS(graph)
+            x = kernel.encode(result.final)
+            checks["independent_at_quiescence"] = (
+                kernel.independence_violations(x)
             )
-            checks["dominating_at_quiescence"] = domination_violations(
-                graph, result.final
-            )
+            checks["dominating_at_quiescence"] = kernel.domination_violations(x)
         else:
             checks["independent_at_quiescence"] = 0
             checks["dominating_at_quiescence"] = 0

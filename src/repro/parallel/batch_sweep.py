@@ -160,26 +160,24 @@ def _run_group(
 
     ``budget`` is the already-resolved round budget (the group key), so
     every member runs under the identical limit it would have resolved
-    per-trial.
+    per-trial.  Encoding validates every member exactly like the
+    per-trial kernel does.
     """
-    from repro.core.executor import _resolve_config
+    from repro.core.executor import _as_configuration
 
     module_name, class_name, final_attr = _SWEEP_KERNELS[protocol_key]
     kernel_cls = getattr(importlib.import_module(module_name), class_name)
     protocol = protocols[protocol_key]
     initials = [
-        _resolve_config(protocol, graph, spec.config) for _, spec in members
+        _as_configuration(protocol, graph, spec.config) for _, spec in members
     ]
     kernel = kernel_cls(graph)
+    single = kernel.single
     start = time.perf_counter()
     res = kernel.run_batch(kernel.encode_batch(initials), max_rounds=budget)
-    # one wall-clock for k trials: attribute an equal share to each row
-    # so the parent-side latency histogram still sees every trial
-    per_row = (time.perf_counter() - start) / len(members)
     final = getattr(res, final_attr)
     out: Dict[int, RunResult] = {}
     for row, (index, _spec) in enumerate(members):
-        final_config = kernel.single.decode(final[row])
         moves_by_rule = {
             name: int(counts[row]) for name, counts in res.moves_by_rule.items()
         }
@@ -191,11 +189,16 @@ def _run_group(
             moves=sum(moves_by_rule.values()),
             moves_by_rule=moves_by_rule,
             initial=initials[row],
-            final=final_config,
-            legitimate=protocol.is_legitimate(graph, final_config),
+            final=single.decode(final[row]),
+            legitimate=single.legitimate(final[row]),
             backend="batch",
-            elapsed=per_row,
         )
+    # one wall-clock for k trials, encode through the last row's
+    # legitimacy — the span a per-trial ``elapsed`` covers: an equal
+    # share per row keeps the latency histogram comparable across paths
+    per_row = (time.perf_counter() - start) / len(members)
+    for result in out.values():
+        result.elapsed = per_row
     return out
 
 

@@ -382,7 +382,7 @@ def drive_campaign(
         "final": final,
         "move_log": move_log,
         "history": history,
-        "legitimate": protocol.is_legitimate(adapter.graph, final),
+        "legitimate": adapter.legitimate(),
         "final_graph": adapter.graph,
     }
     return summary, telemetry
@@ -414,6 +414,9 @@ class _ReferenceAdapter:
 
     def config(self) -> Configuration:
         return self.current
+
+    def legitimate(self) -> bool:
+        return self.protocol.is_legitimate(self.graph, self.current)
 
     def run_segment(self, budget: int) -> Segment:
         from repro.core.executor import run_synchronous

@@ -76,6 +76,9 @@ class VectorAdapter:
     def config(self):
         return self.kernel.decode(self.state)
 
+    def legitimate(self) -> bool:
+        return self.kernel.legitimate(self.state)
+
     def run_segment(self, budget: int) -> Segment:
         kernel = self.kernel
         per_round = []
@@ -179,13 +182,14 @@ def run_vector_campaign(
 
     The shared engine adapter (:func:`repro.engine.adapter.run_kernel`)
     delegates here when ``fault_plan`` is given.  Campaigns always
-    collect telemetry, census included.
+    collect telemetry, census included; the adapter's ``encode``
+    validates the start configuration.
     """
-    from repro.core.executor import _default_round_budget, _resolve_config
+    from repro.core.executor import _as_configuration, _default_round_budget
     from repro.engine.result import RunResult
     from repro.errors import StabilizationTimeout
 
-    initial = _resolve_config(protocol, graph, config)
+    initial = _as_configuration(protocol, graph, config)
     budget = max_rounds if max_rounds is not None else _default_round_budget(graph)
     adapter = VectorAdapter(protocol, graph, initial, kernel_cls, census=True)
     summary, tele = drive_campaign(

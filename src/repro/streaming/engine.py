@@ -15,7 +15,10 @@ re-stabilize inside the window to the next event (``recovered`` False
 is an SLO miss: the engine fell behind the event rate), how many rounds
 and moves it took, how many nodes were touched and the containment
 radius from the fault sites — and feeds the ambient
-:class:`~repro.observability.metrics.MetricsRegistry`:
+:class:`~repro.observability.metrics.MetricsRegistry`.  An unrecovered
+event's window length is *censored*: it says only that recovery took
+longer than the window, so it is counted (``censored``) but kept out of
+the re-stabilization latency distribution and its percentiles:
 
 ========================================== ============ ==============
 family                                      kind         labels
@@ -62,7 +65,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.executor import _default_round_budget, _resolve_config
+from repro.core.executor import _as_configuration, _default_round_budget
 from repro.errors import ExperimentError
 from repro.graphs.graph import Graph
 from repro.observability.metrics import (
@@ -159,6 +162,9 @@ class StreamReport:
     rounds: int
     events: int
     recovered: int
+    #: events whose window closed before re-stabilization (censored
+    #: samples, kept out of ``rounds_dist``)
+    censored: int
     events_by_kind: Dict[str, int]
     recovered_by_kind: Dict[str, int]
     recovery_rounds_total: int
@@ -166,6 +172,7 @@ class StreamReport:
     moves_by_rule: Dict[str, int]
     touched: int
     radius_max: Optional[int]
+    #: re-stabilization latency (rounds) -> count, recovered events only
     rounds_dist: Dict[int, int]
     radius_dist: Dict[int, int]
     wall_seconds: float
@@ -179,6 +186,7 @@ class StreamReport:
 
     @property
     def p50_rounds(self) -> Optional[int]:
+        """Median re-stabilization latency over recovered events."""
         return _percentile(self.rounds_dist, 0.50)
 
     @property
@@ -208,6 +216,7 @@ class StreamReport:
             "rounds": self.rounds,
             "events": self.events,
             "recovered": self.recovered,
+            "censored": self.censored,
             "events_by_kind": dict(sorted(self.events_by_kind.items())),
             "recovered_by_kind": dict(sorted(self.recovered_by_kind.items())),
             "recovery_rounds_total": self.recovery_rounds_total,
@@ -275,7 +284,9 @@ class StreamEngine:
         self.protocol = protocol_cls()
         self.backend = backend
         gen = ensure_rng(rng)
-        initial = _resolve_config(self.protocol, graph, config)
+        # each adapter validates: the reference one on resolution, the
+        # vector one in its kernel's encode
+        initial = _as_configuration(self.protocol, graph, config)
         if backend == "reference":
             self.adapter = _ReferenceAdapter(
                 self.protocol, graph, initial, gen,
@@ -390,9 +401,10 @@ class StreamEngine:
         for name, count in sample.moves_by_rule.items():
             self._moves_by_rule[name] = self._moves_by_rule.get(name, 0) + count
         self._touched += sample.touched
-        self._rounds_dist[sample.rounds] = (
-            self._rounds_dist.get(sample.rounds, 0) + 1
-        )
+        if sample.recovered:  # a censored window is not a latency
+            self._rounds_dist[sample.rounds] = (
+                self._rounds_dist.get(sample.rounds, 0) + 1
+            )
         if sample.radius is not None:
             self._radius_dist[sample.radius] = (
                 self._radius_dist.get(sample.radius, 0) + 1
@@ -422,11 +434,13 @@ class StreamEngine:
         registry.counter(
             "repro_stream_moves_total", "Moves made recovering from stream events"
         ).inc(sample.moves, protocol=proto)
-        registry.histogram(
-            "repro_stream_restabilize_rounds",
-            "Re-stabilization latency per stream event, in rounds",
-            buckets=ROUNDS_BUCKETS,
-        ).observe(sample.rounds, protocol=proto)
+        if sample.recovered:
+            registry.histogram(
+                "repro_stream_restabilize_rounds",
+                "Re-stabilization latency per recovered stream event, "
+                "in rounds",
+                buckets=ROUNDS_BUCKETS,
+            ).observe(sample.rounds, protocol=proto)
         if sample.radius is not None:
             registry.histogram(
                 "repro_stream_containment_radius",
@@ -506,13 +520,15 @@ class StreamEngine:
         }
 
     def report(self) -> StreamReport:
+        recovered = sum(self._recovered_by_kind.values())
         return StreamReport(
             protocol=self.protocol_key,
             backend=self.backend,
             n=self.adapter.graph.n,
             rounds=self._elapsed,
             events=self._event_index,
-            recovered=sum(self._recovered_by_kind.values()),
+            recovered=recovered,
+            censored=self._event_index - recovered,
             events_by_kind=dict(self._events_by_kind),
             recovered_by_kind=dict(self._recovered_by_kind),
             recovery_rounds_total=self._recovery_rounds,

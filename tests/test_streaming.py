@@ -199,8 +199,12 @@ class TestStreamEngine:
         report = engine.run(plan)
         assert report.events == len(plan.events)
         assert 0 <= report.recovered <= report.events
-        assert sum(report.rounds_dist.values()) == report.events
-        assert report.recovery_rounds_total == sum(
+        assert report.censored == report.events - report.recovered
+        # the latency distribution holds recovered events only; the
+        # rounds total also counts the censored windows
+        assert sum(report.rounds_dist.values()) == report.recovered
+        censored_rounds = sum(s.rounds for s in report.samples if not s.recovered)
+        assert report.recovery_rounds_total == censored_rounds + sum(
             k * v for k, v in report.rounds_dist.items()
         )
         if report.p50_rounds is not None and report.p99_rounds is not None:
@@ -208,6 +212,33 @@ class TestStreamEngine:
         # the run ends with a settle window: the live config must be a
         # legitimate configuration of the churned graph
         assert engine.protocol.is_legitimate(engine.graph, engine.config())
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_censored_windows_stay_out_of_latency_percentiles(self, backend):
+        # events faster than recovery: many windows close before the
+        # run re-stabilizes, and their lengths must not read as latency
+        graph = random_tree(40, rng=3)
+        plan = poisson_plan(graph, rate=2.0, events=40, seed=5)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            report = run_stream("smm", graph, plan, backend=backend)
+        assert report.censored > 0
+        recovered = sorted(s.rounds for s in report.samples if s.recovered)
+        assert len(recovered) == report.recovered
+        assert sum(report.rounds_dist.values()) == len(recovered)
+        if recovered:
+            assert report.p50_rounds == recovered[(len(recovered) + 1) // 2 - 1]
+            assert report.p99_rounds <= recovered[-1]
+        else:
+            assert report.p50_rounds is None and report.p99_rounds is None
+        assert report.counters()["censored"] == report.censored
+        text = registry.exposition()
+        observed = sum(
+            float(line.rsplit(" ", 1)[1])
+            for line in text.splitlines()
+            if line.startswith("repro_stream_restabilize_rounds_count")
+        )
+        assert observed == report.recovered
 
     def test_engine_clock_rebasing_across_plans(self):
         graph = cycle_graph(12)
