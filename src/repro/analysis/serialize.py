@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import TYPE_CHECKING, Any, Dict, Mapping
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence
 
 from repro.core.configuration import Configuration
 from repro.core.executor import Execution
@@ -211,16 +211,20 @@ def _option_value_from_json(value: Any) -> Any:
     return value
 
 
-def trial_spec_to_dict(spec) -> Dict[str, Any]:
+def trial_spec_to_dict(spec, *, graph_ref: Optional[int] = None) -> Dict[str, Any]:
     """JSON-safe :class:`~repro.parallel.TrialSpec` (versioned with
     :data:`SCHEMA_VERSION`; round-trips through
     :func:`trial_spec_from_dict`).  Raises ``ValueError`` for specs
     carrying non-serializable option values.
+
+    With ``graph_ref`` the ``graph`` field is that index into a list of
+    :func:`graph_to_dict` records kept beside the specs (the job
+    journal writes each distinct graph once) instead of the graph.
     """
     return {
         "schema": SCHEMA_VERSION,
         "protocol": spec.protocol,
-        "graph": graph_to_dict(spec.graph),
+        "graph": graph_to_dict(spec.graph) if graph_ref is None else graph_ref,
         "config": (
             None
             if spec.config is None
@@ -240,15 +244,17 @@ def trial_spec_to_dict(spec) -> Dict[str, Any]:
     }
 
 
-def trial_spec_from_dict(data: Mapping[str, Any]):
+def trial_spec_from_dict(data: Mapping[str, Any], graphs: Sequence[Any] = ()):
     """Rebuild a :class:`~repro.parallel.TrialSpec` from
-    :func:`trial_spec_to_dict` output."""
+    :func:`trial_spec_to_dict` output; an integer ``graph`` field
+    indexes the already rebuilt ``graphs``."""
     from repro.parallel.trial_runner import TrialSpec
 
     config = data.get("config")
+    graph = data["graph"]
     return TrialSpec(
         protocol=str(data["protocol"]),
-        graph=graph_from_dict(data["graph"]),
+        graph=graphs[graph] if isinstance(graph, int) else graph_from_dict(graph),
         config=None if config is None else configuration_from_dict(config),
         daemon=str(data.get("daemon", "synchronous")),
         max_rounds=(

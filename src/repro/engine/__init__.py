@@ -27,6 +27,7 @@ from repro.engine.registry import (
     backends_for,
     get_backend,
     make_protocol,
+    preload,
     protocol_key,
     register_backend,
     register_protocol,
@@ -45,6 +46,7 @@ __all__ = [
     "fallback_backend",
     "get_backend",
     "make_protocol",
+    "preload",
     "protocol_key",
     "register_backend",
     "register_protocol",

@@ -63,7 +63,9 @@ class Backend:
     it sees the concrete protocol instance, graph, configuration and
     the merged option mapping (including ``record_history`` and
     ``monitors``) and must return whether this backend reproduces the
-    reference semantics for that run.
+    reference semantics for that run.  ``modules`` names the modules the
+    runner and predicate import lazily, which :func:`preload` imports
+    ahead of time.
     """
 
     protocol: str
@@ -73,6 +75,7 @@ class Backend:
     capabilities: frozenset = frozenset()
     priority: int = 0
     supports_fn: Optional[SupportsFn] = None
+    modules: Tuple[str, ...] = ()
 
     def supports(
         self,
@@ -147,8 +150,11 @@ def register_backend(
     capabilities: frozenset = frozenset(),
     priority: int = 0,
     supports: Optional[SupportsFn] = None,
+    modules: Tuple[str, ...] = (),
 ) -> None:
-    """Register (or replace) a backend for ``(protocol, daemon)``."""
+    """Register (or replace) a backend for ``(protocol, daemon)``.
+    ``modules`` lists what ``runner`` and ``supports`` import lazily
+    (see :func:`preload`)."""
     BACKENDS[(protocol, daemon, name)] = Backend(
         protocol=protocol,
         daemon=daemon,
@@ -157,6 +163,7 @@ def register_backend(
         capabilities=frozenset(capabilities),
         priority=priority,
         supports_fn=supports,
+        modules=tuple(modules),
     )
 
 
@@ -186,6 +193,30 @@ def backends_for(protocol: str, daemon: str = "synchronous") -> List[Backend]:
 def backend_names(protocol: str, daemon: str = "synchronous") -> List[str]:
     """Registered backend names for ``(protocol, daemon)``."""
     return [b.name for b in backends_for(protocol, daemon)]
+
+
+def preload(protocol: str, daemon: str = "synchronous", backend: str = "auto") -> None:
+    """Import now what a run of ``protocol`` under ``daemon`` on
+    ``backend`` would import lazily: the protocol's module and the
+    ``modules`` of every backend the run may select (all candidates for
+    ``"auto"``).
+
+    A process that forks per trial calls this first, so every child
+    starts with the modules loaded instead of importing them itself.
+    Best effort: unknown names, a failing factory or a failing import
+    are left for the run itself to report.
+    """
+    if backend == "auto":
+        candidates = backends_for(protocol, daemon)
+    else:
+        candidates = [b for b in (BACKENDS.get((protocol, daemon, backend)),) if b]
+    try:
+        make_protocol(protocol)
+        for candidate in candidates:
+            for module in candidate.modules:
+                importlib.import_module(module)
+    except Exception:
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +289,10 @@ def _reference_runner(daemon: str) -> Runner:
     return runner
 
 
+#: What the reference runner imports lazily.
+_REFERENCE_MODULES = ("repro.core.executor", "repro.core.transform")
+
+
 def reference_backend(protocol: str, daemon: str) -> Backend:
     """A reference-engine :class:`Backend` for ``(protocol, daemon)``.
 
@@ -270,6 +305,7 @@ def reference_backend(protocol: str, daemon: str) -> Backend:
         runner=_reference_runner(daemon),
         capabilities=REFERENCE_CAPABILITIES,
         priority=0,
+        modules=_REFERENCE_MODULES,
     )
 
 
@@ -283,9 +319,10 @@ def _factory(module: str, attr: str) -> Callable[[], object]:
     return make
 
 
-def _kernel_runner(module: str, cls_name: str) -> Runner:
-    """A backend runner driving the array kernel ``module.cls_name``
-    through the shared engine adapter (:mod:`repro.engine.adapter`)."""
+def _kernel(module: str, cls_name: str) -> Dict[str, object]:
+    """The ``runner`` and ``modules`` of a backend driving the array
+    kernel ``module.cls_name`` through the shared engine adapter
+    (:mod:`repro.engine.adapter`)."""
 
     def runner(*args, **kwargs) -> RunResult:
         from repro.engine.adapter import run_kernel
@@ -293,7 +330,7 @@ def _kernel_runner(module: str, cls_name: str) -> Runner:
         kernel_cls = getattr(importlib.import_module(module), cls_name)
         return run_kernel(kernel_cls, *args, **kwargs)
 
-    return runner
+    return {"runner": runner, "modules": ("repro.engine.adapter", module)}
 
 
 def _options_ok(options: Mapping[str, object], allowed: frozenset) -> bool:
@@ -385,7 +422,7 @@ def _register_builtins() -> None:
         "smm",
         "synchronous",
         "vectorized",
-        _kernel_runner("repro.matching.smm_vectorized", "VectorizedSMM"),
+        **_kernel("repro.matching.smm_vectorized", "VectorizedSMM"),
         capabilities=faulty,
         priority=20,
         supports=_supports_plain_smm(faulty_options),
@@ -394,7 +431,7 @@ def _register_builtins() -> None:
         "sis",
         "synchronous",
         "vectorized",
-        _kernel_runner("repro.mis.sis_vectorized", "VectorizedSIS"),
+        **_kernel("repro.mis.sis_vectorized", "VectorizedSIS"),
         capabilities=faulty,
         priority=20,
         supports=_supports_kernel(
@@ -405,7 +442,7 @@ def _register_builtins() -> None:
         "luby",
         "synchronous",
         "vectorized",
-        _kernel_runner("repro.mis.luby_vectorized", "VectorizedLuby"),
+        **_kernel("repro.mis.luby_vectorized", "VectorizedLuby"),
         capabilities=frozenset({"rng"}) | telemetry,
         priority=20,
         supports=_supports_kernel("repro.mis.variants.LubyStyleMIS", telemetry),

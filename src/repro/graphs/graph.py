@@ -42,7 +42,10 @@ class Graph:
     adjacency makes that a simple first-match scan.
     """
 
-    __slots__ = ("_adj", "_nodes", "_edges", "_hash", "_csr")
+    # ``_hash``, ``_csr`` and ``_fingerprint`` (the graph's part of
+    # :func:`repro.parallel.spec_fingerprint`) are memoised derived
+    # data: never pickled, rebuilt on first use
+    __slots__ = ("_adj", "_nodes", "_edges", "_hash", "_csr", "_fingerprint")
 
     def __init__(self, nodes: Iterable[NodeId], edges: Iterable[Tuple[NodeId, NodeId]]):
         node_list = list(nodes)
@@ -72,6 +75,7 @@ class Graph:
         self._edges: frozenset[Edge] = frozenset(edge_set)
         self._hash: int | None = None
         self._csr: tuple | None = None
+        self._fingerprint: tuple | None = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -176,6 +180,7 @@ class Graph:
         self._edges = state["_edges"]
         self._hash = None
         self._csr = None
+        self._fingerprint = None
 
     # ------------------------------------------------------------------
     # structure queries
@@ -329,6 +334,7 @@ class Graph:
         graph._edges = None
         graph._hash = None
         graph._csr = None
+        graph._fingerprint = None
         if self._csr is not None:
             if removed_nodes or added_nodes:
                 graph._csr = self._csr_patch_nodes(
@@ -513,6 +519,7 @@ class Graph:
         graph._edges = frozenset(edge_set)
         graph._hash = None
         graph._csr = (indptr, indices, ids, {node: k for k, node in enumerate(nodes)})
+        graph._fingerprint = None
         return graph
 
     def adjacency_arrays(self):

@@ -77,9 +77,21 @@ def closed_neighborhood(
     indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
     """Sorted unique dense indices of ``rows`` plus all their neighbours
-    (``N[rows]`` — the next round's dirty set)."""
+    (``N[rows]`` — the next round's dirty set).
+
+    Same values and dtype as ``np.unique`` of the concatenation, by sort
+    plus adjacent difference: ``np.unique`` lazily imports ``numpy.ma``,
+    which a freshly forked trial worker would pay for on its first
+    round."""
     positions, _ = csr_entry_positions(indptr, rows)
-    return np.unique(np.concatenate((rows, indices[positions])))
+    merged = np.concatenate((rows, indices[positions]))
+    merged.sort()
+    if merged.size < 2:
+        return merged
+    keep = np.empty(merged.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
 
 
 def segment_reduce(

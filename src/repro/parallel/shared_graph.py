@@ -106,6 +106,7 @@ def _copy_graph_slots(proxy: Graph, graph: Graph) -> None:
     proxy._edges = graph._edges
     proxy._hash = None
     proxy._csr = graph._csr
+    proxy._fingerprint = graph._fingerprint
 
 
 class SharedGraph(Graph):

@@ -100,7 +100,7 @@ from typing import (
     Union,
 )
 
-from repro.engine.registry import PROTOCOLS, register_protocol
+from repro.engine.registry import PROTOCOLS, preload, register_protocol
 from repro.engine.result import RunResult
 from repro.graphs.graph import Graph
 from repro.types import NodeId
@@ -398,8 +398,6 @@ def spec_fingerprint(spec: TrialSpec) -> str:
     payload = {
         "schema": SCHEMA_VERSION,
         "protocol": spec.protocol,
-        "nodes": [repr(n) for n in spec.graph.nodes],
-        "edges": sorted(sorted(repr(x) for x in e) for e in spec.graph.edges),
         "config": (
             None
             if spec.config is None
@@ -418,8 +416,30 @@ def spec_fingerprint(spec: TrialSpec) -> str:
         "backend": spec.backend,
         "telemetry": spec.telemetry,
     }
-    blob = json.dumps(payload, sort_keys=True, default=_fingerprint_canon)
+    # the text json.dumps(payload, sort_keys=True) would produce, with
+    # the graph's two fields spliced in from its memoised fragment
+    fields = {
+        key: json.dumps(value, sort_keys=True, default=_fingerprint_canon)
+        for key, value in payload.items()
+    }
+    fields["nodes"], fields["edges"] = _graph_fragment(spec.graph)
+    blob = "{" + ", ".join(
+        f"{json.dumps(key)}: {fields[key]}" for key in sorted(fields)
+    ) + "}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def _graph_fragment(graph: Graph) -> Tuple[str, str]:
+    """The JSON text of the ``nodes`` and ``edges`` fingerprint fields,
+    computed once per immutable graph and memoised on it: a sweep
+    fingerprints the same graph once per trial."""
+    fragment = graph._fingerprint
+    if fragment is None:
+        fragment = graph._fingerprint = (
+            json.dumps([repr(n) for n in graph.nodes]),
+            json.dumps(sorted(sorted(repr(x) for x in e) for e in graph.edges)),
+        )
+    return fragment
 
 
 class _TrialFailure:
@@ -923,6 +943,10 @@ class TrialRunner:
         not invalidate resumes."""
         fingerprints = [spec_fingerprint(spec) for spec in specs]
         run_specs = _prepare_specs(specs, traced=traced)
+        # import here what the runs import lazily, so each per-attempt
+        # fork starts warm instead of importing its backend itself
+        for key in {(spec.protocol, spec.daemon, spec.backend) for spec in specs}:
+            preload(*key)
         results: Dict[int, Union[RunResult, FailedTrial]] = {}
         attempts: Dict[int, int] = {}
         resumed: frozenset = frozenset()
@@ -956,11 +980,13 @@ class TrialRunner:
             if attempts is not None:
                 attempts[index] = made
             if writer is not None:
-                json.dump(
-                    _checkpoint_record(index, fingerprints[index], outcome),
-                    writer,
+                # one-shot dumps runs the C encoder; json.dump does not
+                writer.write(
+                    json.dumps(
+                        _checkpoint_record(index, fingerprints[index], outcome)
+                    )
+                    + "\n"
                 )
-                writer.write("\n")
                 writer.flush()
             self._notify(index, outcome)
 

@@ -13,18 +13,28 @@ progress counters, timestamps).  The :class:`JobManager` owns
   hit the store and concurrent identical submissions coalesce onto one
   computation;
 * a per-job on-disk journal (``<state>/jobs/<id>/``) holding the
-  serialized specs (``job.json``, immutable), mutable status
-  (``status.json``, atomically replaced), the runner's resume
-  checkpoint (``checkpoint.jsonl``), streamed telemetry
-  (``telemetry.jsonl``) and the final response (``results.json``).
+  serialized specs (``job.json``, immutable; each distinct graph is
+  written once and specs reference it by index), mutable status
+  (``status.json``, atomically replaced; it also carries everything
+  the job's summary needs), the runner's resume checkpoint
+  (``checkpoint.jsonl``), streamed telemetry (``telemetry.jsonl``)
+  and the final response (``results.json``).
+
+Memory contract: a finished job is its summary plus its journal.  On
+reaching a terminal state a :class:`Job` drops its specs and result
+entries (:meth:`Job.release`); :meth:`JobManager.results` and
+:attr:`Job.specs` read them back from disk, so a long-lived server's
+memory does not grow with the number of jobs it has answered.
 
 Crash-safety contract: everything a restarted server needs is in the
 journal.  :meth:`JobManager.start` re-enqueues every job that was
 queued or running when the previous process died; re-execution leases
 the store first (finished trials are cache hits) and the runner
 resumes the remainder from its checkpoint, so no completed trial is
-ever recomputed.  A SIGTERM'd server *requeues* (rather than cancels)
-jobs interrupted mid-run — see :meth:`JobManager.shutdown`.
+ever recomputed.  Finished jobs are recovered from ``status.json``
+alone, so a restart parses ``job.json`` only for the jobs it runs.  A
+SIGTERM'd server *requeues* (rather than cancels) jobs interrupted
+mid-run — see :meth:`JobManager.shutdown`.
 
 Trial failures (:class:`~repro.parallel.FailedTrial`) do not fail a
 job: like resilient sweeps, the job completes ``done`` with ``failed``
@@ -62,6 +72,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.serialize import (
     SCHEMA_VERSION,
     execution_to_dict,
+    graph_from_dict,
+    graph_to_dict,
     trial_spec_from_dict,
     trial_spec_to_dict,
 )
@@ -84,6 +96,7 @@ from repro.serve.store import ResultStore
 __all__ = ["Job", "JobManager", "JOB_STATES", "QueueFull", "Draining"]
 
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+TERMINAL_STATES = ("done", "failed", "cancelled")
 
 #: How long a job waits for another job's in-flight computation of the
 #: same fingerprint before falling back to computing inline.
@@ -136,9 +149,40 @@ def _now() -> float:
 
 def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
+    # one-shot dumps: json.dump streams through the pure-Python encoder
+    text = json.dumps(payload, sort_keys=True)
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
+        handle.write(text)
     os.replace(tmp, path)
+
+
+def _read_json(path: str) -> Any:
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _specs_to_journal(specs: Sequence[TrialSpec]) -> Dict[str, Any]:
+    """The ``graphs`` and ``specs`` fields of ``job.json``: each distinct
+    graph once, referenced from its specs by index.  Raises
+    ``ValueError`` for specs that have no wire format."""
+    refs: Dict[Any, int] = {}
+    graphs: List[Dict[str, Any]] = []
+    records = []
+    for spec in specs:
+        ref = refs.get(spec.graph)
+        if ref is None:
+            ref = refs[spec.graph] = len(graphs)
+            graphs.append(graph_to_dict(spec.graph))
+        records.append(trial_spec_to_dict(spec, graph_ref=ref))
+    return {"graphs": graphs, "specs": records}
+
+
+def _specs_from_journal(record: Dict[str, Any]) -> List[TrialSpec]:
+    """Inverse of :func:`_specs_to_journal`; also reads journals whose
+    specs carry their graphs inline.  Specs sharing a graph share one
+    :class:`~repro.graphs.graph.Graph`."""
+    graphs = [graph_from_dict(g) for g in record.get("graphs", ())]
+    return [trial_spec_from_dict(s, graphs) for s in record["specs"]]
 
 
 class Job:
@@ -147,7 +191,10 @@ class Job:
     Mutable fields (``state``, ``progress``, timestamps, ``error``,
     ``entries``) are owned by the single worker thread executing the
     job; readers snapshot them through :meth:`summary` under the
-    manager's lock.
+    manager's lock.  A terminal job is released to its summary
+    (:meth:`release`): ``specs`` and ``fingerprints`` are then read
+    back from ``job.json`` on access, and ``entries`` is ``None``
+    (:meth:`JobManager.results` reads ``results.json``).
     """
 
     def __init__(
@@ -162,9 +209,9 @@ class Job:
         deadline: Optional[float] = None,
     ) -> None:
         self.id = job_id
-        self.specs: Tuple[TrialSpec, ...] = tuple(specs)
-        self.fingerprints: Tuple[str, ...] = tuple(
-            spec_fingerprint(s) for s in self.specs
+        self._specs: Optional[Tuple[TrialSpec, ...]] = tuple(specs)
+        self._fingerprints: Optional[Tuple[str, ...]] = tuple(
+            spec_fingerprint(s) for s in self._specs
         )
         self.directory = directory
         self.label = label
@@ -178,7 +225,7 @@ class Job:
         self.started: Optional[float] = None
         self.finished: Optional[float] = None
         self.progress: Dict[str, int] = {
-            "total": len(self.specs),
+            "total": len(self._specs),
             "completed": 0,
             "cached": 0,
             "computed": 0,
@@ -189,13 +236,69 @@ class Job:
         self.entries: Optional[List[Optional[Dict[str, Any]]]] = None
         self.cancel_event = threading.Event()
         self.done_event = threading.Event()
-        self.telemetry_requested = any(s.telemetry for s in self.specs)
+        self.telemetry_requested = any(s.telemetry for s in self._specs)
         #: live convergence-observatory block (populated when specs ran
         #: with ``convergence=True``): monitored-run / violation /
         #: bound-verdict tallies plus the latest potential, decay rate
         #: and ETA from :func:`repro.observability.convergence
         #: .progress_estimate`
         self.convergence: Optional[Dict[str, Any]] = None
+
+    @classmethod
+    def from_status(
+        cls, job_id: str, directory: str, status: Dict[str, Any]
+    ) -> "Job":
+        """A finished job rebuilt from its ``status.json`` alone,
+        already released: no ``job.json`` parse, no graph rebuild, no
+        fingerprinting."""
+        deadline = status.get("deadline")
+        job = cls(
+            job_id,
+            (),
+            directory=directory,
+            label=status.get("label"),
+            mode=status.get("mode", "async"),
+            created=status.get("created"),
+            deadline=deadline if isinstance(deadline, (int, float)) else None,
+        )
+        job.telemetry_requested = bool(status.get("telemetry", False))
+        job.restore(status)
+        job.state = status["state"]
+        job.release()
+        job.done_event.set()
+        return job
+
+    def restore(self, status: Dict[str, Any]) -> None:
+        """Take timestamps, error and progress from a ``status.json``."""
+        self.started = status.get("started")
+        self.finished = status.get("finished")
+        self.error = status.get("error")
+        progress = status.get("progress")
+        if isinstance(progress, dict):
+            self.progress.update(
+                {k: int(v) for k, v in progress.items() if k in self.progress}
+            )
+
+    def release(self) -> None:
+        """Drop the payload of a finished job (specs, fingerprints,
+        result entries); the journal keeps it."""
+        self._specs = None
+        self._fingerprints = None
+        self.entries = None
+
+    @property
+    def specs(self) -> Tuple[TrialSpec, ...]:
+        """The job's trial specs (read back from ``job.json`` once the
+        job is released)."""
+        if self._specs is not None:
+            return self._specs
+        return tuple(_specs_from_journal(_read_json(self.spec_path)))
+
+    @property
+    def fingerprints(self) -> Tuple[str, ...]:
+        if self._fingerprints is not None:
+            return self._fingerprints
+        return tuple(spec_fingerprint(s) for s in self.specs)
 
     def note_convergence(self, result: Optional[Dict[str, Any]]) -> None:
         """Fold one finished trial's convergence record (if any) into
@@ -260,7 +363,7 @@ class Job:
             "started": self.started,
             "finished": self.finished,
             "deadline": self.deadline,
-            "trials": len(self.specs),
+            "trials": self.progress["total"],
             "progress": dict(self.progress),
             "convergence": (
                 None if self.convergence is None else dict(self.convergence)
@@ -275,12 +378,18 @@ class Job:
         }
 
     def status_payload(self) -> Dict[str, Any]:
+        """``status.json``: the mutable state plus the immutable summary
+        fields, so a finished job recovers from this file alone."""
         return {
             "state": self.state,
             "error": self.error,
+            "label": self.label,
+            "mode": self.mode,
             "created": self.created,
             "started": self.started,
             "finished": self.finished,
+            "deadline": self.deadline,
+            "telemetry": self.telemetry_requested,
             "progress": dict(self.progress),
         }
 
@@ -559,7 +668,12 @@ class JobManager:
         self._queue.put((_CHAOS_STALL, min(float(seconds), 30.0)))
 
     def _recover(self) -> None:
-        """Re-register every journaled job; re-enqueue unfinished ones."""
+        """Re-register every journaled job; re-enqueue unfinished ones.
+
+        A finished job whose ``status.json`` carries its summary fields
+        is rebuilt from that file alone; ``job.json`` is parsed only for
+        jobs that run again (and for finished jobs journaled before
+        ``status.json`` held the summary)."""
         try:
             entries = sorted(os.listdir(self.jobs_dir))
         except OSError:
@@ -572,14 +686,19 @@ class JobManager:
                 continue
             directory = os.path.join(self.jobs_dir, job_id)
             try:
-                with open(
-                    os.path.join(directory, "job.json"), encoding="utf-8"
-                ) as handle:
-                    record = json.load(handle)
-                specs = [
-                    trial_spec_from_dict(s) for s in record["specs"]
-                ]
-            except (OSError, ValueError, KeyError):
+                status = _read_json(os.path.join(directory, "status.json"))
+            except (OSError, ValueError):
+                status = {}
+            if not isinstance(status, dict):
+                status = {}
+            state = status.get("state", "queued")
+            if state in TERMINAL_STATES and "mode" in status:
+                self._jobs[job_id] = Job.from_status(job_id, directory, status)
+                continue
+            try:
+                record = _read_json(os.path.join(directory, "job.json"))
+                specs = _specs_from_journal(record)
+            except (OSError, ValueError, KeyError, IndexError, TypeError):
                 continue  # torn journal: not recoverable, leave on disk
             deadline = record.get("deadline")
             job = Job(
@@ -591,22 +710,10 @@ class JobManager:
                 created=record.get("created"),
                 deadline=deadline if isinstance(deadline, (int, float)) else None,
             )
-            try:
-                with open(job.status_path, encoding="utf-8") as handle:
-                    status = json.load(handle)
-            except (OSError, ValueError):
-                status = {}
-            state = status.get("state", "queued")
-            job.started = status.get("started")
-            job.finished = status.get("finished")
-            job.error = status.get("error")
-            progress = status.get("progress")
-            if isinstance(progress, dict):
-                job.progress.update(
-                    {k: int(v) for k, v in progress.items() if k in job.progress}
-                )
-            if state in ("done", "failed", "cancelled"):
+            job.restore(status)
+            if state in TERMINAL_STATES:
                 job.state = state
+                job.release()
                 job.done_event.set()
             else:
                 # queued, running, or torn status: run it (again); the
@@ -646,7 +753,7 @@ class JobManager:
             raise ValueError("a job needs at least one trial spec")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
-        serialized = [trial_spec_to_dict(s) for s in specs]  # may raise
+        serialized = _specs_to_journal(specs)  # may raise
         with self._lock:
             if self._stop.is_set():
                 self._count_shed("draining")
@@ -681,7 +788,7 @@ class JobManager:
                     "mode": job.mode,
                     "created": job.created,
                     "deadline": job.deadline,
-                    "specs": serialized,
+                    **serialized,
                 },
             )
             self._journal(job)
@@ -747,15 +854,11 @@ class JobManager:
 
     def results(self, job: Job) -> Optional[List[Dict[str, Any]]]:
         """The per-trial result entries of a finished job (``None`` if
-        unfinished or the journal is unreadable)."""
-        if job.entries is not None and all(
-            e is not None for e in job.entries
-        ):
-            return list(job.entries)  # in-process, fresh
+        unfinished or the journal is unreadable), read from its
+        ``results.json``: a finished job holds no entries in memory."""
         try:
-            with open(job.results_path, encoding="utf-8") as handle:
-                return json.load(handle)["results"]
-        except (OSError, ValueError, KeyError):
+            return _read_json(job.results_path)["results"]
+        except (OSError, ValueError, KeyError, TypeError):
             return None
 
     def queue_depth(self) -> int:
@@ -789,6 +892,7 @@ class JobManager:
                     0.7 * self._avg_job_seconds + 0.3 * duration
                 )
         self._journal(job)
+        job.release()
         job.done_event.set()
         self._metric(
             lambda reg: reg.counter(

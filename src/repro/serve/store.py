@@ -157,8 +157,9 @@ class ResultStore:
         """
         final = self.path(fingerprint)
         tmp = f"{final}.tmp.{os.getpid()}.{threading.get_ident()}"
+        text = json.dumps(result, sort_keys=True)  # C encoder, unlike dump
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(result, handle, sort_keys=True)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, final)

@@ -1278,7 +1278,7 @@ class TestCircuitBreaker:
             for _ in range(4):
                 job = manager.submit(bad)
                 assert manager.wait(job, timeout=60)
-                error_types.append(job.entries[0].get("error_type"))
+                error_types.append(manager.results(job)[0].get("error_type"))
             # first two fail for real, then the breaker fails fast
             assert error_types[2:] == ["CircuitOpen", "CircuitOpen"]
             assert "CircuitOpen" not in error_types[:2]
@@ -1305,7 +1305,7 @@ class TestCircuitBreaker:
             for _ in range(2):
                 job = manager.submit(bad)
                 assert manager.wait(job, timeout=60)
-            assert job.entries[0]["error_type"] == "CircuitOpen"
+            assert manager.results(job)[0]["error_type"] == "CircuitOpen"
             good = manager.submit(_specs(2))
             assert manager.wait(good, timeout=60)
             assert good.state == "done"
