@@ -303,18 +303,10 @@ def cmd_run(
     resume: str | None = None,
     trace: str | None = None,
     metrics: str | None = None,
-    batch_sweep: bool = True,
-    shared_graphs: str = "auto",
     convergence: bool = False,
 ) -> int:
     import contextlib
 
-    from repro.parallel import trial_runner as _trial_runner
-
-    if shared_graphs not in ("auto", "always", "never"):
-        raise SystemExit(
-            f"--shared-graphs must be auto, always or never, got {shared_graphs!r}"
-        )
     if telemetry is not None:
         # truncate up front: the sinks append, so one `repro run`
         # invocation produces one coherent file whatever experiments ran
@@ -328,22 +320,6 @@ def cmd_run(
     tracer = None
     metrics_registry = None
     with contextlib.ExitStack() as stack:
-        # the experiments build their own TrialRunner instances and only
-        # forward --jobs, so the sweep fast-path knobs travel as the
-        # process-wide defaults (restored afterwards: tests call cmd_run
-        # in-process)
-        saved = (
-            _trial_runner.BATCH_SWEEP_DEFAULT,
-            _trial_runner.SHARED_GRAPHS_DEFAULT,
-        )
-        _trial_runner.BATCH_SWEEP_DEFAULT = batch_sweep
-        _trial_runner.SHARED_GRAPHS_DEFAULT = shared_graphs
-
-        def _restore(values=saved):
-            _trial_runner.BATCH_SWEEP_DEFAULT = values[0]
-            _trial_runner.SHARED_GRAPHS_DEFAULT = values[1]
-
-        stack.callback(_restore)
         if trace is not None:
             from repro.observability import Tracer, use_tracer
 
@@ -607,7 +583,7 @@ def cmd_chaos(
         print(f"  {record['fault']:<16} {record['elapsed_s']:>7.1f}s  {verdict}")
     print(
         f"chaos: graceful_shutdown={result['graceful_shutdown']} "
-        f"leaked_shm={result['leaked_shm']} -> "
+        f"leaked_workers={result['leaked_workers']} -> "
         + ("ALL INVARIANTS HELD" if result["ok"] else "INVARIANT VIOLATED")
     )
     if report:
@@ -706,25 +682,6 @@ def main(argv: List[str] | None = None) -> int:
         "run > phase, fault-event recovery windows) and write it as "
         "Chrome trace_event JSON to PATH (default: trace.json); load "
         "it in chrome://tracing or Perfetto",
-    )
-    runner.add_argument(
-        "--no-batch-sweep",
-        action="store_true",
-        help="disable batch-sweep dispatch (groups of same-graph "
-        "synchronous trials executed as one batch-kernel call); "
-        "results are identical either way — this is a benchmarking "
-        "and debugging knob",
-    )
-    runner.add_argument(
-        "--shared-graphs",
-        choices=("auto", "always", "never"),
-        default="auto",
-        metavar="POLICY",
-        help="graph handoff to worker processes: 'auto' (default) "
-        "ships large graphs as shared-memory CSR buffers and small "
-        "ones as memoized pickles, 'always' forces shared memory, "
-        "'never' forces memoized pickling (for hosts without a usable "
-        "/dev/shm); results are identical for every policy",
     )
     runner.add_argument(
         "--metrics",
@@ -1123,8 +1080,6 @@ def main(argv: List[str] | None = None) -> int:
         resume=args.resume,
         trace=args.trace,
         metrics=args.metrics,
-        batch_sweep=not args.no_batch_sweep,
-        shared_graphs=args.shared_graphs,
         convergence=args.convergence,
     )
 

@@ -201,8 +201,9 @@ def preload(protocol: str, daemon: str = "synchronous", backend: str = "auto") -
     ``modules`` of every backend the run may select (all candidates for
     ``"auto"``).
 
-    A process that forks per trial calls this first, so every child
-    starts with the modules loaded instead of importing them itself.
+    A process about to fork trial workers calls this first, so every
+    child starts with the modules loaded instead of importing them
+    itself.
     Best effort: unknown names, a failing factory or a failing import
     are left for the run itself to report.
     """

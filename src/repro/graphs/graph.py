@@ -170,7 +170,7 @@ class Graph:
 
     def __getstate__(self):
         # Keep pickles lean: the CSR cache and hash are derived data and
-        # rebuilt lazily on the receiving side (e.g. in pool workers).
+        # rebuilt lazily on the receiving side.
         # ``_edges`` may itself be lazily None on derived graphs.
         return {"_adj": self._adj, "_nodes": self._nodes, "_edges": self._edges}
 
@@ -490,37 +490,6 @@ class Graph:
         else:
             nodes = sorted({x for e in edge_list for x in e})
         return cls(nodes, edge_list)
-
-    @classmethod
-    def from_csr_arrays(cls, indptr, indices, ids) -> "Graph":
-        """Rebuild a graph from its own ``adjacency_arrays()`` output.
-
-        Trusted input: the arrays are assumed to come from a validated
-        graph (the zero-copy shared-memory handoff in
-        :mod:`repro.parallel.shared_graph`), so the constructor's
-        duplicate/unknown-node validation is skipped and the CSR cache
-        is seeded with the given arrays *as views* — kernels built on
-        the result read the caller's buffers without copying.
-        """
-        graph = cls.__new__(cls)
-        ptr = indptr.tolist()
-        ind = indices.tolist()
-        nodes = tuple(int(i) for i in ids)
-        adj: Dict[NodeId, Tuple[NodeId, ...]] = {}
-        edge_set: set[Edge] = set()
-        for k, node in enumerate(nodes):
-            row = ind[ptr[k]:ptr[k + 1]]
-            adj[node] = tuple(nodes[j] for j in row)
-            for j in row:
-                if j > k:  # nodes ascend, so (k, j) is already canonical
-                    edge_set.add((node, nodes[j]))
-        graph._adj = adj
-        graph._nodes = nodes
-        graph._edges = frozenset(edge_set)
-        graph._hash = None
-        graph._csr = (indptr, indices, ids, {node: k for k, node in enumerate(nodes)})
-        graph._fingerprint = None
-        return graph
 
     def adjacency_arrays(self):
         """CSR-style adjacency ``(indptr, indices, ids)`` as numpy arrays.

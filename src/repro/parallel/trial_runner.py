@@ -5,19 +5,36 @@ fully determines one protocol run.  :func:`execute_trial` is a pure
 function of the spec: protocols are rebuilt by *name* inside the worker
 (rule closures don't pickle) and any randomness flows from the spec's
 integer ``seed`` through :mod:`repro.rng`, so a trial's result is
-bit-identical whether it runs inline, in this process, or in any worker
-of any pool.  That property is what lets the experiments keep their
-"reproducible from one seed" contract while scaling across cores; it is
-pinned by ``tests/test_parallel.py``.
+bit-identical whether it runs inline or in any worker process.  That
+property is what lets the experiments keep their "reproducible from one
+seed" contract while scaling across cores; it is pinned by
+``tests/test_parallel.py``.
+
+Worker processes
+----------------
+Every multi-process sweep runs on one scheduler.  :meth:`TrialRunner.map`
+forks up to ``min(jobs, pending)`` persistent workers once the spec list
+is final, always with the ``fork`` start method (Linux, the only
+platform this package targets): each worker inherits the spec list, so
+the parent sends only a spec index down a pipe and receives the pickled
+outcome.  Each worker keeps one index queued behind the trial it is
+running, so it never waits on the parent between trials.  Workers exit
+when the parent stops them or closes its end of the pipe, and on their
+own once the parent process is gone; :func:`live_workers` audits that
+none outlives its sweep.  ``jobs=1`` without the resilience knobs runs
+inline: no worker, no pickling.
 
 Resilient execution
 -------------------
 Long sweeps die to one hung trial or one OOM-killed worker; the runner
 therefore has a second, *resilient* mode, selected by any of the
-``timeout`` / ``retries`` / ``checkpoint`` knobs:
+``timeout`` / ``retries`` / ``checkpoint`` knobs.  It runs on workers
+even at ``jobs=1``:
 
-* each trial attempt runs in its own worker process with a wall-clock
-  ``timeout``; an expired attempt is terminated;
+* each trial gets a wall-clock ``timeout``, counted from the moment its
+  worker finished the trial before it; on expiry the worker is killed
+  and replaced, and the index it had queued goes back to the queue
+  without being charged an attempt (a dead worker is handled the same);
 * timed-out and transiently-dead attempts are retried up to ``retries``
   times with exponential backoff (``backoff * 2**attempt`` seconds);
   a trial's *own* exception is deterministic and is never retried;
@@ -28,8 +45,11 @@ therefore has a second, *resilient* mode, selected by any of the
   the same path resumes a killed sweep, executing only the missing
   trials (stale or corrupt lines are ignored and re-run).
 
-Without any of those knobs, :meth:`TrialRunner.map` is the original
-pool path, byte-for-byte.
+Without any of those knobs the same scheduler runs with no timeout,
+retry or checkpoint: like ``pool.map``, a trial's exception is re-raised
+(the lowest-index one, after the trials in flight finish), and a dead
+worker or failed fork degrades the rest of the sweep to inline
+execution with a ``RuntimeWarning``.
 
 Long-lived owners
 -----------------
@@ -44,34 +64,26 @@ it incrementally:
   batch-sweep dispatch.  Results are unchanged; the callback only
   observes them.
 * ``cancel`` is a :class:`threading.Event`; once set, the runner stops
-  dispatching, terminates in-flight resilient attempts, and raises
-  :class:`SweepCancelled`.  Work already checkpointed stays
-  checkpointed, so a cancelled job resumes exactly where it stopped.
+  dispatching, kills its workers, and raises :class:`SweepCancelled`.
+  Work already checkpointed stays checkpointed, so a cancelled job
+  resumes exactly where it stopped.
 
 In resilient mode the runner additionally defers a ``SIGTERM`` (main
 thread, default disposition only): the handler records it, and the next
 cancel safe point raises :class:`SweepInterrupted`, so a killed process
 unwinds through its ``finally`` blocks: the checkpoint JSONL is flushed
-and closed, shared-memory segments are unlinked, and the exit code is
-the conventional ``128 + signum``.
+and closed, the workers are killed, and the exit code is the
+conventional ``128 + signum``.
 
-Sweep fast paths
-----------------
-Two transparent optimisations sit in front of both modes, each
-preserving bit-identical results (pinned by
-``tests/test_engine_equivalence.py``):
-
-* **batch-sweep dispatch** (:mod:`repro.parallel.batch_sweep`): groups
-  of same-(protocol, graph, budget) synchronous specs with no
-  per-trial observation execute as one ``(k, n)`` batch-kernel call in
-  the parent instead of ``k`` separate runs.  Disabled wholesale under
-  tracing and in resilient mode (both need per-trial execution), and
-  visibly so — see ``repro_batch_sweep_fallbacks_total``.
-* **zero-copy graph handoff** (:mod:`repro.parallel.shared_graph`):
-  when trials do cross a process boundary, each distinct graph ships
-  once — large graphs as CSR buffers in shared memory that workers
-  attach to, small ones as a memoized pickle payload deserialized once
-  per worker — instead of being re-pickled into every spec.
+Batch-sweep dispatch
+--------------------
+Groups of same-(protocol, graph, budget) synchronous specs with no
+per-trial observation execute as one ``(k, n)`` batch-kernel call in
+the parent instead of ``k`` separate runs
+(:mod:`repro.parallel.batch_sweep`), with bit-identical results (pinned
+by ``tests/test_engine_equivalence.py``).  It is disabled wholesale
+under tracing and in resilient mode (both need per-trial execution),
+and visibly so — see ``repro_batch_sweep_fallbacks_total``.
 """
 
 from __future__ import annotations
@@ -81,13 +93,13 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
+import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as _connection_wait
 from typing import (
     Callable,
@@ -107,14 +119,13 @@ from repro.types import NodeId
 
 __all__ = [
     "PROTOCOLS",
-    "BATCH_SWEEP_DEFAULT",
-    "SHARED_GRAPHS_DEFAULT",
     "FailedTrial",
     "SweepCancelled",
     "SweepInterrupted",
     "TrialRunner",
     "TrialSpec",
     "execute_trial",
+    "live_workers",
     "register_protocol",
     "resolve_jobs",
     "run_trials",
@@ -150,8 +161,8 @@ class SweepCancelled(RuntimeError):
 class SweepInterrupted(SystemExit):
     """``SIGTERM`` during a resilient sweep, raised at the runner's next
     cancel safe point so the sweep unwinds orderly — checkpoint flushed
-    and closed, shared-memory segments unlinked — before the process
-    exits with the conventional ``128 + signum`` status."""
+    and closed, workers killed — before the process exits with the
+    conventional ``128 + signum`` status."""
 
     def __init__(self, signum: int) -> None:
         super().__init__(128 + int(signum))
@@ -195,17 +206,6 @@ class _SigtermFlag:
     def close(self) -> None:
         os.close(self._read)
         os.close(self._write)
-
-
-#: Process-wide defaults for the sweep fast paths, read by
-#: :class:`TrialRunner` when the corresponding keyword is omitted.  The
-#: CLI's ``--no-batch-sweep`` / ``--shared-graphs`` flags set these so
-#: every runner built downstream (experiments construct their own)
-#: honours them.
-BATCH_SWEEP_DEFAULT: bool = True
-SHARED_GRAPHS_DEFAULT: str = "auto"
-
-_SHARED_GRAPH_POLICIES = {"auto": None, "always": True, "never": False}
 
 
 @dataclass(frozen=True)
@@ -442,53 +442,94 @@ def _graph_fragment(graph: Graph) -> Tuple[str, str]:
     return fragment
 
 
-class _TrialFailure:
-    """Picklable wrapper tagging an exception as *raised by a trial*,
-    as opposed to by the pool machinery.  Without the tag, a trial's
-    own ``OSError``/``RuntimeError`` escaping ``pool.map`` is
-    indistinguishable from pool death — and was silently swallowed by
-    the inline-fallback path, re-running every trial (including the
-    failing one, now raising from a misleading inline stack)."""
+#: ``/proc/<pid>/comm`` of a runner worker, the name :func:`live_workers`
+#: looks for (at most 15 bytes, the kernel's limit).
+WORKER_NAME = "repro-worker"
 
-    __slots__ = ("error",)
-
-    def __init__(self, error: BaseException) -> None:
-        self.error = error
+#: Trials a worker holds at once: the one it runs plus one queued
+#: behind it, so it never waits on the parent between trials.
+_QUEUE_DEPTH = 2
 
 
-def _execute_trial_tagged(spec: TrialSpec):
-    """Worker entry point: run the trial, tagging its own exceptions."""
-    try:
-        return execute_trial(spec)
-    except Exception as exc:
-        return _TrialFailure(exc)
+def _worker_main(conn, specs: Sequence[TrialSpec], inherited) -> None:
+    """Entry point of a forked worker: run ``specs[index]`` for every
+    index the parent sends and answer with the outcome; exit on a
+    ``None`` stop, on EOF, or once the parent process is gone.
 
-
-def _resilient_worker(conn, spec: TrialSpec) -> None:
-    """Worker entry point of the resilient mode: one attempt, one
-    process.  Exceptions travel as ``(type name, message)`` strings —
-    never pickled, so an unpicklable exception cannot kill the
-    transport and masquerade as worker death."""
+    A trial's exception travels as ``(type name, message, exception)``,
+    the exception object only when it survives a pickle round trip, so
+    an unpicklable exception cannot break the transport and masquerade
+    as worker death."""
+    for other in inherited:  # the parent's pipe ends the fork copied:
+        other.close()  # holding them would hide their EOF
     # a forked worker inherits the parent's deferring SIGTERM handler;
-    # terminate() must end the attempt outright
+    # terminate() must end the worker outright
     with contextlib.suppress(ValueError):  # not the main thread
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _pin_worker_threads()
-    try:
-        payload = ("ok", execute_trial(spec))
-    except Exception as exc:
-        payload = ("error", type(exc).__name__, str(exc))
-    try:
-        conn.send(payload)
-    except Exception:
+    with contextlib.suppress(OSError):  # no /proc: stay unnamed
+        with open("/proc/self/comm", "w", encoding="ascii") as handle:
+            handle.write(WORKER_NAME)
+    parent = os.getppid()
+    while True:
         try:
-            conn.send(
-                ("error", "SerializationError", "result could not be pickled")
-            )
-        except Exception:  # pragma: no cover - pipe gone: parent sees EOF
-            pass
-    finally:
-        conn.close()
+            while not conn.poll(1.0):
+                if os.getppid() != parent:
+                    return  # orphaned, e.g. the parent was SIGKILLed
+            index = conn.recv()
+        except (EOFError, OSError):
+            return
+        if index is None:
+            return
+        try:
+            payload = ("ok", execute_trial(specs[index]))
+        except Exception as exc:
+            payload = ("error", type(exc).__name__, str(exc), _portable(exc))
+        try:
+            conn.send(payload)
+        except OSError:
+            return
+        except Exception:
+            with contextlib.suppress(OSError):
+                conn.send(
+                    ("error", "SerializationError",
+                     "result could not be pickled", None)
+                )
+
+
+def _portable(exc: BaseException) -> Optional[BaseException]:
+    """``exc`` if it survives a pickle round trip, else ``None``."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return None
+    return exc
+
+
+def live_workers() -> List[int]:
+    """Pids of the runner workers alive on this host, from a ``/proc``
+    scan (zombies excluded; empty without ``/proc``).  Every sweep stops
+    and reaps its workers, so outside a running sweep or server this is
+    the audit that no worker outlived its parent."""
+    pids = []
+    try:
+        entries = os.listdir("/proc")
+    except OSError:
+        return pids
+    name = WORKER_NAME.encode("ascii")
+    for entry in entries:
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited meanwhile
+        # "pid (comm) state ...": comm itself may hold parentheses
+        head, _, tail = stat.rpartition(b") ")
+        if head.partition(b" (")[2] == name and not tail.startswith(b"Z"):
+            pids.append(int(entry))
+    return sorted(pids)
 
 
 # ----------------------------------------------------------------------
@@ -543,16 +584,45 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 
 # ----------------------------------------------------------------------
-# resilient-mode plumbing
+# scheduler plumbing
 # ----------------------------------------------------------------------
 @dataclass
-class _Attempt:
-    """One in-flight worker process of the resilient scheduler."""
+class _Worker:
+    """One persistent worker process of the scheduler."""
 
-    index: int
-    attempt: int  # 0-based attempt number
     process: object
-    deadline: Optional[float]  # monotonic seconds, None = no timeout
+    conn: object  # the parent's end of the worker's pipe
+    #: ``(index, attempt)`` sent and not yet answered; ``queue[0]`` runs
+    queue: deque = field(default_factory=deque)
+    deadline: Optional[float] = None  # of queue[0]; monotonic seconds
+
+
+class _WorkerLost(RuntimeError):
+    """A plain-mode worker died: the sweep degrades to inline."""
+
+
+def _stop_workers(workers: Sequence[_Worker]) -> None:
+    """Stop and reap workers: a stop message to idle ones, ``SIGTERM``
+    (then ``SIGKILL``) to ones still holding trials."""
+    for worker in workers:
+        if worker.queue:
+            worker.process.terminate()
+        else:
+            with contextlib.suppress(OSError):  # already gone
+                worker.conn.send(None)
+    for worker in workers:
+        worker.process.join(1.0)
+        if worker.process.is_alive():  # pragma: no cover - stubborn
+            worker.process.kill()
+            worker.process.join()
+        worker.conn.close()
+
+
+def _preload(specs: Sequence[TrialSpec]) -> None:
+    """Import here what the runs import lazily, so forked workers start
+    warm instead of each importing its backend itself."""
+    for key in {(spec.protocol, spec.daemon, spec.backend) for spec in specs}:
+        preload(*key)
 
 
 def _checkpoint_record(index: int, fingerprint: str, outcome) -> Dict[str, object]:
@@ -619,13 +689,27 @@ def _load_checkpoint(
     return out
 
 
+def _open_checkpoint(path: str):
+    """Open the checkpoint for appending.  A kill can leave the last
+    record without its newline; the first new record then starts on a
+    line of its own instead of being glued onto the torn one (and lost
+    with it on the next resume)."""
+    writer = open(path, "a", encoding="utf-8")
+    if writer.tell():
+        with open(path, "rb") as handle:
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                writer.write("\n")
+    return writer
+
+
 class TrialRunner:
-    """Run trial specs, fanning across processes when ``jobs > 1``.
+    """Run trial specs, fanning across worker processes when ``jobs > 1``.
 
     Results always come back in spec order, and are bit-identical to
-    inline execution (each trial is a pure function of its spec).  When
-    the pool cannot be used — ``jobs=1``, pickling trouble, or the pool
-    dying mid-flight — execution degrades gracefully to inline.
+    inline execution (each trial is a pure function of its spec).
+    ``jobs=1`` runs inline; when a worker dies or cannot be forked,
+    execution degrades gracefully to inline.
 
     Setting any of ``timeout`` (per-trial wall-clock seconds),
     ``retries`` (bounded retry of timed-out / transiently-dead
@@ -635,13 +719,8 @@ class TrialRunner:
     may then contain :class:`FailedTrial` records in the failed trials'
     slots.
 
-    ``batch_sweep`` (default :data:`BATCH_SWEEP_DEFAULT`) toggles
-    batch-sweep dispatch; ``shared_graphs`` — ``"auto"``, ``"always"``
-    or ``"never"`` (default :data:`SHARED_GRAPHS_DEFAULT`) — selects
-    how graphs ship to worker processes (shared-memory CSR vs memoized
-    pickle; see :mod:`repro.parallel.shared_graph`).  Both fast paths
-    are result-preserving; the knobs exist for benchmarking and for
-    environments without a usable shared-memory filesystem.
+    ``batch_sweep`` toggles batch-sweep dispatch (result-preserving;
+    the knob exists for benchmarking).
 
     ``on_result`` and ``cancel`` are the long-lived-owner hooks (module
     docstring): a per-trial progress callback
@@ -657,19 +736,16 @@ class TrialRunner:
         self,
         jobs: Optional[int] = 1,
         *,
-        chunksize: Optional[int] = None,
         timeout: Optional[float] = None,
         retries: int = 0,
         backoff: float = 0.1,
         checkpoint: Optional[str] = None,
-        batch_sweep: Optional[bool] = None,
-        shared_graphs: Optional[str] = None,
+        batch_sweep: bool = True,
         on_result: Optional[OnResult] = None,
         cancel: Optional[threading.Event] = None,
         deadline: Optional[float] = None,
     ):
         self.jobs = resolve_jobs(jobs)
-        self.chunksize = chunksize
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         if retries < 0:
@@ -678,17 +754,7 @@ class TrialRunner:
         self.retries = retries
         self.backoff = backoff
         self.checkpoint = None if checkpoint is None else str(checkpoint)
-        self.batch_sweep = (
-            BATCH_SWEEP_DEFAULT if batch_sweep is None else bool(batch_sweep)
-        )
-        if shared_graphs is None:
-            shared_graphs = SHARED_GRAPHS_DEFAULT
-        if shared_graphs not in _SHARED_GRAPH_POLICIES:
-            raise ValueError(
-                f"shared_graphs must be one of "
-                f"{sorted(_SHARED_GRAPH_POLICIES)}, got {shared_graphs!r}"
-            )
-        self.shared_graphs = shared_graphs
+        self.batch_sweep = bool(batch_sweep)
         self.on_result = on_result
         self.cancel = cancel
         if deadline is not None:
@@ -789,10 +855,8 @@ class TrialRunner:
         traced = tracer is not None
         self._check_cancel()
 
-        # ------------------------------------------------------------
-        # fast path 1: batch-sweep dispatch (parent-side, result-
-        # preserving; per-trial observation modes bypass it visibly)
-        # ------------------------------------------------------------
+        # batch-sweep dispatch (parent-side, result-preserving;
+        # per-trial observation modes bypass it visibly)
         batched: Dict[int, RunResult] = {}
         if self.batch_sweep and len(specs) > 1:
             from repro.parallel import batch_sweep as _batch_sweep
@@ -805,52 +869,29 @@ class TrialRunner:
                 batched = _batch_sweep.dispatch_groups(specs)
         for index in sorted(batched):
             self._notify(index, batched[index])
-        if batched:
-            rest = [spec for i, spec in enumerate(specs) if i not in batched]
-            rest_indices = [i for i in range(len(specs)) if i not in batched]
+
+        if self.resilient:
+            # batching never applies here, so indices line up; a
+            # SIGTERM unwinds through the scheduler's finally (workers
+            # killed, checkpoint closed) instead of killing us cold
+            with self._deferred_sigterm():
+                outcomes, attempts, resumed = self._map_resilient(
+                    specs, traced=traced
+                )
         else:
-            rest = specs
-            rest_indices = list(range(len(specs)))
-
-        # ------------------------------------------------------------
-        # fast path 2: per-sweep graph handoff for everything that will
-        # cross a process boundary (resilient mode forks per attempt)
-        # ------------------------------------------------------------
-        store = None
-        try:
-            if rest and (
-                self.resilient or (self.jobs > 1 and len(rest) > 1)
-            ):
-                from repro.parallel.shared_graph import SharedGraphStore
-
-                store = SharedGraphStore(
-                    _SHARED_GRAPH_POLICIES[self.shared_graphs]
+            rest_indices = [i for i in range(len(specs)) if i not in batched]
+            rest_outcomes = iter(
+                self._map_plain(
+                    [specs[i] for i in rest_indices],
+                    traced=traced,
+                    indices=rest_indices,
                 )
-                rest = store.pack_specs(rest)
-            if self.resilient:
-                # batching never applies here, so indices line up; a
-                # SIGTERM unwinds through the finally below (checkpoint
-                # closed, segments unlinked) instead of killing us cold
-                with self._deferred_sigterm():
-                    outcomes, attempts, resumed = self._map_resilient(
-                        rest, traced=traced
-                    )
-            else:
-                rest_outcomes = self._map_plain(
-                    rest, traced=traced, indices=rest_indices
-                )
-                attempts, resumed = {}, frozenset()
-                if batched:
-                    rest_iter = iter(rest_outcomes)
-                    outcomes = [
-                        batched[i] if i in batched else next(rest_iter)
-                        for i in range(len(specs))
-                    ]
-                else:
-                    outcomes = rest_outcomes
-        finally:
-            if store is not None:
-                store.close()
+            )
+            outcomes = [
+                batched[i] if i in batched else next(rest_outcomes)
+                for i in range(len(specs))
+            ]
+            attempts, resumed = {}, frozenset()
         if traced:
             _graft_trial_spans(tracer, outcomes, attempts, resumed)
         if registry is not None:
@@ -862,76 +903,59 @@ class TrialRunner:
         specs: List[TrialSpec],
         *,
         traced: bool,
-        indices: Optional[Sequence[int]] = None,
-    ) -> List[Union[RunResult, FailedTrial]]:
+        indices: Sequence[int],
+    ) -> List[RunResult]:
         """``indices`` maps positions in ``specs`` back to positions in
         the caller's full spec list (batch-sweep dispatch may have
         answered some up front) — it labels ``on_result`` calls only."""
         specs = _prepare_specs(specs, traced=traced)
-        indices = list(indices) if indices is not None else list(range(len(specs)))
-        if self.jobs <= 1 or len(specs) <= 1:
-            outcomes = []
-            for j, spec in enumerate(specs):
-                self._check_cancel()
-                outcome = _execute_local(spec)
-                self._notify(indices[j], outcome)
-                outcomes.append(outcome)
-            return outcomes
-        chunk = self.chunksize or max(1, len(specs) // (self.jobs * 4))
-        outcomes: List[Union[RunResult, FailedTrial]] = []
-        failure: Optional[_TrialFailure] = None
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(specs)),
-                initializer=_pin_worker_threads,
-            ) as pool:
-                # pool.map yields in spec order as chunks complete, so
-                # progress streams without changing result order.  Trial
-                # exceptions come back tagged as _TrialFailure and are
-                # re-raised *outside* this try: an exception reaching
-                # the except clause below really is pool machinery
-                # failing — a trial's own OSError or RuntimeError must
-                # propagate, not trigger the fallback (and must not be
-                # mistaken for pool death by being raised in here).
-                for outcome in pool.map(
-                    _execute_trial_tagged, specs, chunksize=chunk
-                ):
-                    if self._cancel_reason() is not None:
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        self._check_cancel()
-                    if isinstance(outcome, _TrialFailure):
-                        failure = outcome
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        break
-                    self._notify(indices[len(outcomes)], outcome)
-                    outcomes.append(outcome)
-        except SweepCancelled:
-            raise
-        except (BrokenProcessPool, OSError, RuntimeError) as exc:
-            # Pool died (OOM kill, fork failure, interpreter without
-            # multiprocessing support...): the trials are side-effect
-            # free, so running the remainder inline is safe (results
-            # already yielded — and notified — are kept).
-            import warnings
+        outcomes: Dict[int, RunResult] = {}
 
-            warnings.warn(
-                f"process pool failed ({exc!r}); falling back to inline execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            for j in range(len(outcomes), len(specs)):
-                self._check_cancel()
-                outcome = _execute_local(specs[j])
-                self._notify(indices[j], outcome)
-                outcomes.append(outcome)
-            return outcomes
-        if failure is not None:
-            raise failure.error
-        return outcomes
+        def finish(j: int, outcome: RunResult) -> None:
+            outcomes[j] = outcome
+            self._notify(indices[j], outcome)
 
-    # ------------------------------------------------------------------
-    # resilient mode
-    # ------------------------------------------------------------------
+        if self.jobs > 1 and len(specs) > 1:
+            pending = deque((j, 0) for j in range(len(specs)))
+            errors: Dict[int, BaseException] = {}
+
+            def record(j: int, payload, attempts: int) -> None:
+                if payload[0] == "ok":
+                    finish(j, payload[1])
+                elif payload[0] == "error":
+                    # like pool.map: dispatch nothing more, let the
+                    # trials in flight finish, raise the lowest index's
+                    errors[j] = (
+                        payload[3]
+                        if payload[3] is not None
+                        else RuntimeError(f"{payload[1]}: {payload[2]}")
+                    )
+                    pending.clear()
+                else:
+                    raise _WorkerLost(payload[2])
+
+            _preload(specs)
+            try:
+                self._run_scheduler(specs, pending, record)
+            except (_WorkerLost, OSError) as exc:
+                # the trials are side-effect free, so running the
+                # remainder inline is safe (results already notified
+                # are kept)
+                warnings.warn(
+                    f"worker processes failed ({exc!r}); falling back to "
+                    "inline execution",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            else:
+                if errors:
+                    raise errors[min(errors)]
+        for j, spec in enumerate(specs):
+            if j not in outcomes:
+                self._check_cancel()
+                finish(j, _execute_local(spec))
+        return [outcomes[j] for j in range(len(specs))]
+
     def _map_resilient(
         self, specs: List[TrialSpec], *, traced: bool = False
     ) -> Tuple[
@@ -943,10 +967,7 @@ class TrialRunner:
         not invalidate resumes."""
         fingerprints = [spec_fingerprint(spec) for spec in specs]
         run_specs = _prepare_specs(specs, traced=traced)
-        # import here what the runs import lazily, so each per-attempt
-        # fork starts warm instead of importing its backend itself
-        for key in {(spec.protocol, spec.daemon, spec.backend) for spec in specs}:
-            preload(*key)
+        _preload(specs)
         results: Dict[int, Union[RunResult, FailedTrial]] = {}
         attempts: Dict[int, int] = {}
         resumed: frozenset = frozenset()
@@ -957,28 +978,22 @@ class TrialRunner:
             resumed = frozenset(loaded)
             for index in sorted(loaded):
                 self._notify(index, loaded[index], resumed=True)
-            writer = open(self.checkpoint, "a", encoding="utf-8")
-        try:
-            self._run_scheduler(run_specs, fingerprints, results, writer, attempts)
-        finally:
-            if writer is not None:
-                writer.close()
-        return [results[i] for i in range(len(specs))], attempts, resumed
+            writer = _open_checkpoint(self.checkpoint)
 
-    def _run_scheduler(
-        self, specs, fingerprints, results, writer, attempts=None
-    ) -> None:
-        ctx = multiprocessing.get_context()
-        pending = deque(
-            (i, 0) for i in range(len(specs)) if i not in results
-        )
-        backing_off: List[Tuple[float, int, int]] = []  # (ready_at, idx, att)
-        running: Dict[object, _Attempt] = {}  # parent conn -> attempt
-
-        def record(index: int, outcome, made: int = 1) -> None:
+        def record(index: int, payload, made: int) -> None:
+            if payload[0] == "ok":
+                outcome = payload[1]
+            else:
+                outcome = FailedTrial(
+                    index=index,
+                    fingerprint=fingerprints[index],
+                    error_type=payload[1],
+                    error=payload[2],
+                    attempts=made,
+                    timed_out=payload[:2] == ("lost", "Timeout"),
+                )
             results[index] = outcome
-            if attempts is not None:
-                attempts[index] = made
+            attempts[index] = made
             if writer is not None:
                 # one-shot dumps runs the C encoder; json.dump does not
                 writer.write(
@@ -990,151 +1005,152 @@ class TrialRunner:
                 writer.flush()
             self._notify(index, outcome)
 
-        def retry_or_fail(att: _Attempt, error_type: str, message: str) -> None:
-            timed_out = error_type == "Timeout"
-            if att.attempt < self.retries:
-                ready_at = time.monotonic() + self.backoff * (2**att.attempt)
-                backing_off.append((ready_at, att.index, att.attempt + 1))
-                backing_off.sort()
-            else:
-                record(
-                    att.index,
-                    FailedTrial(
-                        index=att.index,
-                        fingerprint=fingerprints[att.index],
-                        error_type=error_type,
-                        error=message,
-                        attempts=att.attempt + 1,
-                        timed_out=timed_out,
-                    ),
-                    made=att.attempt + 1,
-                )
-
-        def reap(att: _Attempt, kill: bool = False) -> None:
-            if kill:
-                att.process.terminate()
-                att.process.join(1.0)
-                if att.process.is_alive():  # pragma: no cover - stubborn
-                    att.process.kill()
-            att.process.join()
-
         try:
-            self._scheduler_loop(
-                ctx,
-                specs,
-                fingerprints,
-                pending,
-                backing_off,
-                running,
+            self._run_scheduler(
+                run_specs,
+                deque((i, 0) for i in range(len(specs)) if i not in results),
                 record,
-                retry_or_fail,
-                reap,
             )
         finally:
-            # exceptional unwind (cancel, SIGTERM, a raising callback):
-            # in-flight attempts must not outlive the sweep — their
-            # results have nowhere to land and the worker processes
-            # would keep shared-memory attachments alive
-            for conn, att in list(running.items()):
-                reap(att, kill=True)
-                conn.close()
-            running.clear()
+            if writer is not None:
+                writer.close()
+        return [results[i] for i in range(len(specs))], attempts, resumed
 
-    def _scheduler_loop(
-        self,
-        ctx,
-        specs,
-        fingerprints,
-        pending,
-        backing_off,
-        running,
-        record,
-        retry_or_fail,
-        reap,
-    ) -> None:
-        while pending or backing_off or running:
-            self._check_cancel()
-            now = time.monotonic()
-            while backing_off and backing_off[0][0] <= now:
-                _, index, attempt = backing_off.pop(0)
-                pending.append((index, attempt))
-            while pending and len(running) < self.jobs:
-                index, attempt = pending.popleft()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                process = ctx.Process(
-                    target=_resilient_worker,
-                    args=(child_conn, specs[index]),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                started = time.monotonic()
-                running[parent_conn] = _Attempt(
-                    index=index,
-                    attempt=attempt,
-                    process=process,
-                    deadline=(
-                        None if self.timeout is None else started + self.timeout
-                    ),
-                )
-            wake = [] if self._sigterm is None else [self._sigterm]
-            if not running:
-                # everything is backing off: sleep to the earliest retry
-                # (a deferred SIGTERM cuts the sleep short)
-                _connection_wait(
-                    wake, timeout=max(0.0, backing_off[0][0] - time.monotonic())
-                )
-                continue
-            wake_points = [
-                att.deadline for att in running.values() if att.deadline is not None
-            ]
-            if backing_off:
-                wake_points.append(backing_off[0][0])
-            wait_for = (
-                None
-                if not wake_points
-                else max(0.0, min(wake_points) - time.monotonic())
+    # ------------------------------------------------------------------
+    # the worker scheduler
+    # ------------------------------------------------------------------
+    def _run_scheduler(self, specs, pending, record) -> None:
+        """Run ``specs[index]`` for each ``(index, attempt)`` of the
+        ``pending`` deque on persistent forked workers (module
+        docstring, "Worker processes").
+
+        ``record(index, payload, attempts)`` receives each trial's final
+        answer: ``("ok", result)``; ``("error", type name, message,
+        exception or None)`` for the trial's own exception; or
+        ``("lost", "Timeout" | "WorkerDeath", message)`` once the
+        trial's retries are used up.  The caller owns ``pending`` and
+        may clear it to stop dispatching.  However the loop ends, every
+        worker is stopped and reaped."""
+        ctx = multiprocessing.get_context("fork")
+        workers: Dict[object, _Worker] = {}  # parent conn -> worker
+        backing_off: List[Tuple[float, int, int]] = []  # (ready_at, idx, att)
+        wake = [] if self._sigterm is None else [self._sigterm]
+
+        def fork() -> _Worker:
+            conn, child = ctx.Pipe()
+            process = ctx.Process(
+                target=_worker_main,
+                args=(child, specs, [conn, *workers]),
+                daemon=True,
             )
-            ready = _connection_wait(list(running) + wake, timeout=wait_for)
-            for conn in ready:
-                if conn is self._sigterm:
-                    conn.drain()  # the next safe point raises
-                    continue
-                att = running.pop(conn)
-                try:
-                    payload = conn.recv()
-                except (EOFError, OSError):
-                    payload = None  # worker died before sending
+            try:
+                process.start()
+            except BaseException:
                 conn.close()
-                reap(att)
-                if payload is None:
-                    retry_or_fail(att, "WorkerDeath", "worker process died")
-                elif payload[0] == "ok":
-                    record(att.index, payload[1], made=att.attempt + 1)
-                else:
-                    # the trial's own exception: deterministic, no retry
-                    record(
-                        att.index,
-                        FailedTrial(
-                            index=att.index,
-                            fingerprint=fingerprints[att.index],
-                            error_type=payload[1],
-                            error=payload[2],
-                            attempts=att.attempt + 1,
+                raise
+            finally:
+                child.close()
+            worker = workers[conn] = _Worker(process, conn)
+            return worker
+
+        def lose(worker: _Worker, error_type: str, message: str) -> None:
+            # kill/reap the worker; charge the attempt to its running
+            # trial only and put the trial queued behind it back
+            del workers[worker.conn]
+            _stop_workers([worker])
+            if not worker.queue:
+                return
+            (index, attempt), *queued = worker.queue
+            pending.extendleft(reversed(queued))
+            if attempt < self.retries:
+                ready_at = time.monotonic() + self.backoff * (2**attempt)
+                backing_off.append((ready_at, index, attempt + 1))
+                backing_off.sort()
+            else:
+                record(index, ("lost", error_type, message), attempt + 1)
+
+        def start_head(worker: _Worker) -> None:
+            worker.deadline = (
+                None if self.timeout is None else time.monotonic() + self.timeout
+            )
+
+        try:
+            while True:
+                self._check_cancel()
+                now = time.monotonic()
+                while backing_off and backing_off[0][0] <= now:
+                    _, index, attempt = backing_off.pop(0)
+                    pending.append((index, attempt))
+                while pending:
+                    worker = min(
+                        workers.values(), key=lambda w: len(w.queue), default=None
+                    )
+                    if worker is None or (worker.queue and len(workers) < self.jobs):
+                        worker = fork()
+                    elif len(worker.queue) >= _QUEUE_DEPTH:
+                        break
+                    item = pending.popleft()
+                    try:
+                        worker.conn.send(item[0])
+                    except OSError:  # it died
+                        pending.appendleft(item)
+                        lose(worker, "WorkerDeath", "worker process died")
+                        continue
+                    worker.queue.append(item)
+                    if len(worker.queue) == 1:
+                        start_head(worker)
+                busy = [w for w in workers.values() if w.queue]
+                if not busy:
+                    if not backing_off:
+                        return
+                    # everything is backing off: sleep to the earliest
+                    # retry (a deferred SIGTERM cuts the sleep short)
+                    _connection_wait(
+                        wake, timeout=max(0.0, backing_off[0][0] - now)
+                    )
+                    continue
+                wake_points = [w.deadline for w in busy if w.deadline is not None]
+                if backing_off:
+                    wake_points.append(backing_off[0][0])
+                ready = set(
+                    _connection_wait(
+                        [w.conn for w in workers.values()]
+                        + [w.process.sentinel for w in workers.values()]
+                        + wake,
+                        timeout=(
+                            max(0.0, min(wake_points) - time.monotonic())
+                            if wake_points
+                            else None
                         ),
-                        made=att.attempt + 1,
                     )
-            now = time.monotonic()
-            for conn, att in list(running.items()):
-                if att.deadline is not None and att.deadline <= now:
-                    del running[conn]
-                    reap(att, kill=True)
-                    conn.close()
-                    retry_or_fail(
-                        att,
-                        "Timeout",
-                        f"trial exceeded {self.timeout}s wall clock",
-                    )
+                )
+                if self._sigterm is not None and self._sigterm in ready:
+                    self._sigterm.drain()  # the next safe point raises
+                for worker in list(workers.values()):
+                    if worker.conn in ready:
+                        try:
+                            payload = worker.conn.recv()
+                        except (EOFError, OSError):
+                            lose(worker, "WorkerDeath", "worker process died")
+                            continue
+                        index, attempt = worker.queue.popleft()
+                        start_head(worker)
+                        record(index, payload, attempt + 1)
+                    elif worker.process.sentinel in ready:
+                        lose(worker, "WorkerDeath", "worker process died")
+                now = time.monotonic()
+                for worker in list(workers.values()):
+                    expired = worker.deadline is not None and worker.deadline <= now
+                    if worker.queue and expired:
+                        lose(
+                            worker,
+                            "Timeout",
+                            f"trial exceeded {self.timeout}s wall clock",
+                        )
+        finally:
+            # however the loop ends (done, cancel, SIGTERM, a raising
+            # callback), no worker outlives the sweep
+            _stop_workers(list(workers.values()))
 
 
 # ----------------------------------------------------------------------
@@ -1241,31 +1257,27 @@ def run_trials(
     specs: Sequence[TrialSpec],
     *,
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 0.1,
     checkpoint: Optional[str] = None,
-    batch_sweep: Optional[bool] = None,
-    shared_graphs: Optional[str] = None,
+    batch_sweep: bool = True,
     on_result: Optional[OnResult] = None,
     cancel: Optional[threading.Event] = None,
     deadline: Optional[float] = None,
 ) -> List[Union[RunResult, FailedTrial]]:
     """Convenience wrapper: ``TrialRunner(...).map(specs)``.  The
     ``timeout``/``retries``/``backoff``/``checkpoint`` knobs select the
-    resilient mode; ``batch_sweep``/``shared_graphs`` tune the sweep
-    fast paths; ``on_result``/``cancel``/``deadline`` are the
+    resilient mode; ``batch_sweep`` toggles batch-sweep dispatch;
+    ``on_result``/``cancel``/``deadline`` are the
     long-lived-owner hooks (see :class:`TrialRunner`)."""
     return TrialRunner(
         jobs,
-        chunksize=chunksize,
         timeout=timeout,
         retries=retries,
         backoff=backoff,
         checkpoint=checkpoint,
         batch_sweep=batch_sweep,
-        shared_graphs=shared_graphs,
         on_result=on_result,
         cancel=cancel,
         deadline=deadline,

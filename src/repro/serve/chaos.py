@@ -20,7 +20,7 @@ scenarios, and asserts the re-stabilization invariants after each:
   ``repro_serve_shed_total``, while every accepted job still
   completes;
 * the daemon still shuts down gracefully afterwards and leaves no
-  ``/dev/shm`` segments behind.
+  runner worker process behind.
 
 Fault scripts (``DEFAULT_FAULTS`` runs all of them, in order)::
 
@@ -687,13 +687,13 @@ class ChaosHarness:
                     self._log(f"chaos: {fault} FAILED: {exc}")
         finally:
             graceful = self._stop_server()
-        leaked = self._leaked_segments()
+        leaked = self._leaked_workers()
         report = {
             "seed": self.seed,
             "state_dir": self.state_dir,
             "faults": records,
             "graceful_shutdown": graceful,
-            "leaked_shm": leaked,
+            "leaked_workers": leaked,
             "ok": ok and graceful and not leaked,
         }
         if self.report_path:
@@ -703,14 +703,14 @@ class ChaosHarness:
         return report
 
     @staticmethod
-    def _leaked_segments(timeout: float = 5.0) -> List[str]:
-        """Audit /dev/shm, allowing the resource tracker a moment to
-        reap segments from any SIGKILLed process."""
-        from repro.parallel import leaked_shared_segments
+    def _leaked_workers(timeout: float = 5.0) -> List[int]:
+        """Pids of runner workers still alive, allowing the orphans of
+        a SIGKILLed daemon a moment to notice and exit."""
+        from repro.parallel import live_workers
 
         deadline = time.monotonic() + timeout
-        leaked = leaked_shared_segments()
+        leaked = live_workers()
         while leaked and time.monotonic() < deadline:
             time.sleep(0.25)
-            leaked = leaked_shared_segments()
-        return list(leaked)
+            leaked = live_workers()
+        return leaked

@@ -6,8 +6,8 @@ progress counters, timestamps).  The :class:`JobManager` owns
 
 * a FIFO queue drained by a bounded pool of worker threads, each
   driving a :class:`~repro.parallel.TrialRunner` in resilient mode
-  (per-trial fork/timeout/retry/checkpoint) for the specs that
-  actually need computing;
+  (per-trial timeout/retry/checkpoint on forked workers) for the specs
+  that actually need computing;
 * the content-addressed :class:`~repro.serve.store.ResultStore` —
   every cacheable trial is leased there first, so repeated submissions
   hit the store and concurrent identical submissions coalesce onto one

@@ -24,10 +24,10 @@ Endpoints (all JSON unless noted)::
 
 Graceful shutdown: :func:`run_server` installs SIGTERM/SIGINT handlers
 that set an event; the main thread then stops accepting, drains the
-job manager (interrupted jobs are journaled back to ``queued``) and
-unlinks every shared-memory segment via
-:func:`repro.parallel.close_all_stores`, so a killed daemon leaks
-nothing in ``/dev/shm`` and resumes its queue on restart.
+job manager (interrupted jobs are journaled back to ``queued``, their
+runner workers stopped and reaped), so a killed daemon leaves no worker
+process behind (:func:`repro.parallel.live_workers`) and resumes its
+queue on restart.
 """
 
 from __future__ import annotations
@@ -495,16 +495,13 @@ class ReproServer:
         self._thread.start()
 
     def shutdown(self) -> None:
-        """Stop accepting, drain the manager, release shared memory."""
-        from repro.parallel import close_all_stores
-
+        """Stop accepting and drain the manager."""
         self.httpd.shutdown()
         self.httpd.server_close()
         if self._thread is not None:
             self._thread.join(5.0)
             self._thread = None
         self.app.stop()
-        close_all_stores()
 
 
 def _print_flushed(message: str) -> None:
@@ -536,7 +533,7 @@ def run_server(
     Runs until SIGTERM/SIGINT, then shuts down gracefully: running
     sweeps are interrupted at their next scheduling point and journaled
     back to ``queued`` (their checkpoints make the restart cheap), and
-    every shared-memory segment is unlinked before exit.
+    their runner workers are reaped before exit.
 
     Returns 2 (with a one-line diagnostic on stderr) when the listen
     address cannot be bound — the classic already-running case must not
@@ -582,7 +579,7 @@ def run_server(
             f"(state dir {app.manager.state_dir})"
         )
         stop.wait()
-        print_fn("repro serve: shutting down (draining jobs, unlinking shm)")
+        print_fn("repro serve: shutting down (draining jobs)")
         server.shutdown()
         print_fn("repro serve: shutdown complete")
     finally:

@@ -4,7 +4,7 @@ One smoke run with small knobs drives a subprocess ``repro serve``
 through three fault scripts (worker kill, store truncation, submit
 flood) and checks the report contract the ``chaos-smoke`` CI job
 relies on: every invariant held, the shutdown was graceful, no
-``/dev/shm`` segments leaked, and the flood actually exercised
+runner worker process leaked, and the flood actually exercised
 admission control (429s carried ``Retry-After``, the shed counter
 moved, accepted jobs still completed).
 
@@ -53,7 +53,7 @@ class TestChaosHarness:
         report = harness.run()
         assert report["ok"], json.dumps(report, indent=2)
         assert report["graceful_shutdown"] is True
-        assert report["leaked_shm"] == []
+        assert report["leaked_workers"] == []
         by_fault = {r["fault"]: r for r in report["faults"]}
         assert set(by_fault) == {"worker_kill", "store_truncate", "flood"}
         assert all(r["ok"] for r in report["faults"])

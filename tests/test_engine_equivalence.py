@@ -552,9 +552,9 @@ class TestBatchSweepDispatch:
 
 
 class TestSharedGraphEquivalence:
-    """The zero-copy handoff is invisible in results and metrics: a
-    sweep over shared-memory graphs is byte-identical to the inline
-    sweep, for either handoff policy, and leaves no segment behind."""
+    """Worker processes are invisible in results and metrics: a sweep
+    run by the worker scheduler, plain or resilient, is byte-identical
+    to the inline sweep and leaves no worker behind."""
 
     def _specs(self):
         from repro.parallel import TrialSpec
@@ -574,23 +574,32 @@ class TestSharedGraphEquivalence:
             for seed in SEEDS
         ]
 
-    @pytest.mark.parametrize("policy", ("auto", "always", "never"))
+    @pytest.mark.parametrize(
+        "policy",
+        (
+            {"jobs": 2},
+            # no batch dispatch to fall back from: resilient mode would
+            # count a batch-sweep fallback the inline sweep never has
+            {"jobs": 2, "retries": 1, "batch_sweep": False},
+        ),
+        ids=("plain", "resilient"),
+    )
     def test_pool_results_identical_under_handoff(self, policy):
-        from repro.observability import MetricsRegistry, use_registry
-        from repro.parallel import leaked_shared_segments, run_trials
+        import multiprocessing
 
-        def sweep(jobs, shared):
+        from repro.observability import MetricsRegistry, use_registry
+        from repro.parallel import run_trials
+
+        def sweep(**knobs):
             registry = MetricsRegistry()
             with use_registry(registry):
-                results = run_trials(
-                    self._specs(), jobs=jobs, shared_graphs=shared
-                )
+                results = run_trials(self._specs(), **knobs)
             return results, registry.exposition(kinds=("counter",))
 
-        inline_results, inline_counters = sweep(1, "never")
-        pool_results, pool_counters = sweep(2, policy)
+        inline_results, inline_counters = sweep(jobs=1)
+        pool_results, pool_counters = sweep(**policy)
         for ref, res in zip(inline_results, pool_results):
             assert_equivalent(ref, res)
             assert res.backend == "vectorized"
         assert pool_counters == inline_counters
-        assert leaked_shared_segments() == []
+        assert multiprocessing.active_children() == []

@@ -135,13 +135,6 @@ class TestTrialRunner:
         for x, y in zip(a, b):
             assert executions_equal(x, y)
 
-    def test_chunksize_override(self):
-        specs = self._specs(count=3)
-        a = TrialRunner(jobs=2, chunksize=1).map(specs)
-        b = TrialRunner(jobs=1).map(specs)
-        for x, y in zip(a, b):
-            assert executions_equal(x, y)
-
     def test_worker_failure_propagates(self):
         # a bad spec raises the original error, pool or no pool
         specs = [TrialSpec("smm", cycle_graph(4)), TrialSpec("nope", cycle_graph(4))]
@@ -165,7 +158,7 @@ class TestTrialRunner:
         # regression: a trial raising OSError/RuntimeError used to be
         # indistinguishable from pool death — the runner warned and
         # silently re-ran every spec inline.  The original error must
-        # propagate from the pool path with no degradation warning.
+        # propagate from the worker processes with no degradation warning.
         register_protocol(key, factory)
         try:
             specs = [
@@ -364,7 +357,6 @@ class TestOwnerHooks:
         runner = TrialRunner(
             jobs=2,
             batch_sweep=False,
-            shared_graphs="never",
             on_result=lambda i, outcome, resumed: seen.append(i),
         )
         results = runner.map(self._specs())

@@ -444,6 +444,30 @@ class TestResilientRunner:
             assert a.rounds == b.rounds == c.rounds
             assert a.moves_by_rule == b.moves_by_rule == c.moves_by_rule
 
+    def test_torn_checkpoint_tail_loses_no_later_record(self, tmp_path):
+        # a kill mid-write leaves the last record without its newline;
+        # the resumed sweep must not glue its first record onto it, or
+        # the next resume discards that record and re-runs its trial
+        specs = _make_specs(4)
+        ck = tmp_path / "sweep.jsonl"
+        TrialRunner(jobs=1, checkpoint=str(ck)).map(specs)
+        lines = ck.read_text().splitlines()
+        ck.write_text("\n".join(lines[:2]) + "\n" + lines[2][: len(lines[2]) // 2])
+        runs = []
+
+        def count(index, outcome, resumed):
+            if not resumed:
+                runs.append(index)
+
+        TrialRunner(jobs=1, checkpoint=str(ck), on_result=count).map(specs)
+        assert runs == [2, 3]
+        runs.clear()
+        results = TrialRunner(jobs=1, checkpoint=str(ck), on_result=count).map(
+            specs
+        )
+        assert runs == []  # every trial came back from the checkpoint
+        assert not any(isinstance(r, FailedTrial) for r in results)
+
     def test_checkpoint_ignores_corrupt_and_stale_lines(self, tmp_path):
         specs = _make_specs(2)
         ck = tmp_path / "sweep.jsonl"

@@ -14,7 +14,7 @@ Four layers, tested bottom-up:
   ``/metrics`` parsing as Prometheus text exposition.
 
 The SIGTERM/restart recovery of a live daemon (journal + checkpoint +
-``/dev/shm`` audit) runs the real ``repro serve`` CLI in a subprocess.
+worker-process audit) runs the real ``repro serve`` CLI in a subprocess.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.graphs.generators import cycle_graph
 from repro.matching.smm import SynchronousMaximalMatching
 from repro.parallel import (
     TrialSpec,
-    leaked_shared_segments,
+    live_workers,
     run_trials,
     spec_fingerprint,
 )
@@ -831,7 +831,7 @@ def _http(port, method, path, payload=None, timeout=30):
 class TestServeKillRestart:
     def test_sigterm_then_restart_resumes_jobs(self, tmp_path):
         """Kill a busy daemon with SIGTERM: it exits cleanly without
-        leaking /dev/shm, and a restart on the same state dir picks the
+        leaking a worker process, and a restart on the same state dir picks the
         interrupted job back up and finishes it."""
         state = tmp_path / "state"
         body = {
@@ -859,7 +859,7 @@ class TestServeKillRestart:
                 proc.wait(timeout=10)
         assert proc.returncode == 0, out
         assert "shutdown complete" in out
-        assert leaked_shared_segments() == []
+        assert live_workers() == []
 
         # the journal survived the kill
         assert (state / "jobs").is_dir()
@@ -899,7 +899,7 @@ class TestServeKillRestart:
             if proc.poll() is None:  # pragma: no cover - cleanup
                 proc.kill()
                 proc.wait(timeout=10)
-        assert leaked_shared_segments() == []
+        assert live_workers() == []
 
 
 class TestResponseSchema:

@@ -38,7 +38,6 @@ from repro.graphs.generators import cycle_graph, erdos_renyi_graph
 from repro.graphs.graph import Graph
 from repro.kernels import closed_neighborhood
 from repro.parallel import TrialRunner, TrialSpec, run_trials, spec_fingerprint
-from repro.parallel.shared_graph import SharedGraphStore
 from repro.parallel.trial_runner import _fingerprint_canon
 from repro.serve import JobManager
 from repro.serve import jobs as jobs_module
@@ -56,12 +55,12 @@ from repro.parallel import TrialSpec, execute_trial, trial_runner
 
 imported = {}
 
-def scheduler(self, specs, fingerprints, results, writer, attempts=None):
-    # the parent's state at the point where it would fork each trial
-    for index, spec in enumerate(specs):
+def scheduler(self, specs, pending, record):
+    # the parent's state at the point where it would fork the workers
+    for index, _ in pending:
         before = set(sys.modules)
-        results[index] = execute_trial(spec)
-        imported[spec.protocol] = sorted(set(sys.modules) - before)
+        record(index, ("ok", execute_trial(specs[index])), 1)
+        imported[specs[index].protocol] = sorted(set(sys.modules) - before)
 
 trial_runner.TrialRunner._run_scheduler = scheduler
 graph = erdos_renyi_graph(300, 0.05, rng=1)
@@ -193,12 +192,7 @@ def _graphs():
     yield "Graph()", Graph([5, -2, 9, 0], [(5, -2), (9, 0), (0, 5)])
     yield "with_updates", derived
     yield "with_edges", derived.with_edges(remove=[(100, 0)])
-    yield "from_csr_arrays", Graph.from_csr_arrays(*base.adjacency_arrays())
     yield "pickle", pickle.loads(pickle.dumps(derived))
-    with SharedGraphStore(shared=True) as store:
-        (packed,) = store.pack_specs([TrialSpec("smm", base)])
-        yield "shared-memory proxy", packed.graph
-        yield "shared-memory rebuild", pickle.loads(pickle.dumps(packed.graph))
 
 
 class TestFingerprintMemo:

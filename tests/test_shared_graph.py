@@ -1,18 +1,22 @@
-"""Zero-copy graph handoff: proxies, lifecycle, and /dev/shm hygiene.
+"""Worker hygiene: no runner worker outlives its sweep.
 
-The equivalence half (pool results byte-identical under every handoff
-policy) lives in ``test_engine_equivalence.py``; this file pins the
-mechanics — proxy behaviour, memoization, and above all that no
-shared-memory segment outlives its sweep, whether the sweep completes,
-raises, loses workers, or the whole parent process is SIGKILLed
-(the resource tracker reclaims segments the parent never got to
-unlink).
+The runner forks persistent workers for every multi-process sweep
+(:mod:`repro.parallel.trial_runner`).  This file pins that every one of
+them is stopped and reaped whether the sweep completes, raises, loses a
+worker, or is unwound by SIGTERM, and that the workers of a SIGKILLed
+parent exit on their own.  The equivalence half (multi-process results
+byte-identical to inline) lives in ``test_engine_equivalence.py``.
+
+The file and its test names date from the shared-memory graph handoff
+this scheduler replaced; the audit moved from ``/dev/shm`` segments to
+worker processes (:func:`repro.parallel.live_workers`), and the test
+ids were kept.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -22,23 +26,19 @@ import pytest
 
 from repro.core.faults import random_configuration
 from repro.engine import make_protocol
-from repro.graphs.generators import cycle_graph, erdos_renyi_graph
-from repro.graphs.graph import Graph
+from repro.graphs.generators import erdos_renyi_graph
 from repro.matching.smm import SynchronousMaximalMatching
 from repro.parallel import (
     FailedTrial,
-    MemoGraph,
-    SharedGraph,
-    SharedGraphStore,
     TrialRunner,
     TrialSpec,
-    leaked_shared_segments,
+    live_workers,
     run_trials,
-    spec_fingerprint,
 )
-from repro.parallel.shared_graph import SHARED_MIN_NODES
 from repro.parallel.trial_runner import PROTOCOLS, register_protocol
 from repro.rng import ensure_rng
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _graph(n=12, seed=0):
@@ -58,97 +58,42 @@ def _specs(graph, count=3, backend="vectorized"):
     ]
 
 
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in ["src", env.get("PYTHONPATH", "")] if p
+    )
+    return env
+
+
+def _assert_no_workers():
+    assert multiprocessing.active_children() == []
+    assert live_workers() == []
+
+
 class _CrashingMatching(SynchronousMaximalMatching):
     """SMM that kills its worker process outright — the WorkerDeath
-    fixture.  Module-level so forked workers can unpickle it."""
+    fixture.  Registered by name before the sweep forks, so the
+    workers inherit it."""
 
     def enabled_rule(self, view):
         os._exit(13)
 
 
-class TestProxies:
-    def test_shared_graph_is_the_graph(self):
-        graph = _graph()
-        with SharedGraphStore(shared=True) as store:
-            (packed,) = store.pack_specs(_specs(graph, count=1))
-            proxy = packed.graph
-            assert isinstance(proxy, SharedGraph)
-            assert proxy == graph and hash(proxy) == hash(graph)
-            assert proxy.nodes == graph.nodes and proxy.edges == graph.edges
-            # fingerprints must not notice the wrapping, or resume
-            # checkpoints would invalidate under the fast path
-            original = _specs(graph, count=1)[0]
-            assert spec_fingerprint(packed) == spec_fingerprint(original)
-
-    def test_shared_graph_pickle_attaches_csr_views(self):
-        import numpy as np
-
-        graph = _graph(n=20, seed=1)
-        with SharedGraphStore(shared=True) as store:
-            (packed,) = store.pack_specs(_specs(graph, count=1))
-            clone = pickle.loads(pickle.dumps(packed.graph))
-            assert type(clone) is Graph
-            assert clone == graph
-            indptr, indices, ids = clone.adjacency_arrays()
-            ref_indptr, ref_indices, ref_ids = graph.adjacency_arrays()
-            assert np.array_equal(indptr, ref_indptr)
-            assert np.array_equal(indices, ref_indices)
-            assert np.array_equal(ids, ref_ids)
-            # the views are zero-copy: backed by the segment, read-only
-            assert not indices.flags.writeable
-            assert not indices.flags.owndata
-
-    def test_memo_graph_round_trips_and_memoizes(self):
-        from repro.parallel import shared_graph as sg
-
-        graph = _graph(n=10, seed=2)
-        with SharedGraphStore(shared=False) as store:
-            packed = store.pack_specs(_specs(graph, count=2))
-            proxies = [spec.graph for spec in packed]
-            assert all(isinstance(p, MemoGraph) for p in proxies)
-            assert proxies[0] is proxies[1]  # one payload per graph
-            first = pickle.loads(pickle.dumps(proxies[0]))
-            second = pickle.loads(pickle.dumps(proxies[1]))
-            assert first == graph
-            assert second is first  # memo hit, not a second deserialize
-            sg._MEMO.clear()
-
-    def test_auto_policy_splits_on_graph_size(self):
-        small = cycle_graph(8)
-        big = cycle_graph(SHARED_MIN_NODES)
-        with SharedGraphStore(shared=None) as store:
-            packed = store.pack_specs(
-                _specs(small, count=1) + _specs(big, count=1)
-            )
-            assert isinstance(packed[0].graph, MemoGraph)
-            assert isinstance(packed[1].graph, SharedGraph)
-
-    def test_store_close_is_idempotent_and_unlinks(self):
-        graph = _graph(n=16, seed=3)
-        store = SharedGraphStore(shared=True)
-        store.pack_specs(_specs(graph, count=1))
-        assert leaked_shared_segments() != []
-        store.close()
-        assert leaked_shared_segments() == []
-        store.close()  # second close: no error
-
-
 class TestSweepHygiene:
     def test_no_segments_after_completed_pool_sweep(self):
         graph = _graph(n=30, seed=4)
-        results = run_trials(
-            _specs(graph, count=4), jobs=2, shared_graphs="always"
-        )
+        results = run_trials(_specs(graph, count=4), jobs=2)
         assert len(results) == 4
-        assert leaked_shared_segments() == []
+        _assert_no_workers()
 
     def test_no_segments_after_sweep_that_raises(self):
         graph = _graph(n=30, seed=5)
         specs = _specs(graph, count=3)
         specs[1] = TrialSpec("no-such-protocol", graph)
         with pytest.raises(Exception):
-            run_trials(specs, jobs=2, shared_graphs="always")
-        assert leaked_shared_segments() == []
+            run_trials(specs, jobs=2)
+        _assert_no_workers()
 
     def test_no_segments_after_worker_crash(self):
         register_protocol("crashing-test", _CrashingMatching)
@@ -156,78 +101,79 @@ class TestSweepHygiene:
             graph = _graph(n=30, seed=6)
             good = _specs(graph, count=1)
             crash = TrialSpec("crashing-test", graph)
-            results = TrialRunner(
-                jobs=2, retries=1, backoff=0.05, shared_graphs="always"
-            ).map(good + [crash])
+            results = TrialRunner(jobs=2, retries=1, backoff=0.05).map(
+                good + [crash]
+            )
         finally:
             del PROTOCOLS["crashing-test"]
         assert not isinstance(results[0], FailedTrial)
         assert isinstance(results[1], FailedTrial)
         assert results[1].error_type == "WorkerDeath"
-        assert leaked_shared_segments() == []
+        _assert_no_workers()
+
+    #: a resilient jobs=2 sweep of slow trials that reports each result
+    _KILL_SCRIPT = """
+import sys, time
+from repro.graphs.generators import erdos_renyi_graph
+from repro.matching.smm import SynchronousMaximalMatching
+from repro.parallel import TrialRunner, TrialSpec
+from repro.parallel.trial_runner import register_protocol
+from repro.rng import ensure_rng
+
+class SlowMatching(SynchronousMaximalMatching):
+    def enabled_rule(self, view):
+        time.sleep(0.005)
+        return super().enabled_rule(view)
+
+register_protocol("slow-kill-test", SlowMatching)
+graph = erdos_renyi_graph(40, 0.3, ensure_rng(7))
+specs = [TrialSpec("slow-kill-test", graph, seed=s) for s in range(8)]
+TrialRunner(
+    jobs=2,
+    checkpoint=sys.argv[1],
+    on_result=lambda *_: print("DONE", flush=True),
+).map(specs)
+"""
 
     def test_no_segments_after_kill_resume(self, tmp_path):
-        # SIGKILL a parent mid-sweep: it never reaches store.close(),
-        # so reclamation falls to the multiprocessing resource tracker
-        # (the segments were created through the tracked path).  The
-        # resumed sweep then completes and cleans up normally.
+        # SIGKILL a parent mid-sweep: it never reaches its finally, so
+        # its workers must notice on their own (EOF on the pipe, or the
+        # parent pid changing) and exit.  The resumed sweep then
+        # completes from the checkpoint and cleans up normally.
         ck = tmp_path / "sweep.jsonl"
-        script = (
-            "import os, sys, time\n"
-            "from repro.graphs.generators import erdos_renyi_graph\n"
-            "from repro.rng import ensure_rng\n"
-            "from repro.parallel import SharedGraphStore, TrialSpec\n"
-            "graph = erdos_renyi_graph(40, 0.3, ensure_rng(7))\n"
-            "store = SharedGraphStore(shared=True)\n"
-            "store.pack_specs([TrialSpec('smm', graph, backend='vectorized')])\n"
-            "print('READY', flush=True)\n"
-            "time.sleep(30)\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ["src", env.get("PYTHONPATH", "")] if p
-        )
         proc = subprocess.Popen(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", self._KILL_SCRIPT, str(ck)],
             stdout=subprocess.PIPE,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            env=_env(),
+            cwd=ROOT,
         )
         try:
-            assert proc.stdout.readline().strip() == b"READY"
-            assert leaked_shared_segments() != []  # segment exists now
+            assert proc.stdout.readline().strip() == b"DONE"
+            orphans = set(live_workers())
+            assert orphans  # the sweep's workers are running
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=10)
         finally:
             if proc.poll() is None:  # pragma: no cover - cleanup
                 proc.kill()
-        # the tracker notices the parent's death asynchronously
+            proc.stdout.close()
         deadline = time.monotonic() + 10
-        while leaked_shared_segments() and time.monotonic() < deadline:
+        while orphans & set(live_workers()) and time.monotonic() < deadline:
             time.sleep(0.1)
-        assert leaked_shared_segments() == []
+        assert not orphans & set(live_workers())
         # resume the sweep normally (checkpointed resilient mode)
         graph = _graph(n=40, seed=7)
-        first = run_trials(
-            _specs(graph, count=2),
-            jobs=2,
-            shared_graphs="always",
-            checkpoint=str(ck),
-        )
-        again = run_trials(
-            _specs(graph, count=2),
-            jobs=2,
-            shared_graphs="always",
-            checkpoint=str(ck),
-        )
+        first = run_trials(_specs(graph, count=2), jobs=2, checkpoint=str(ck))
+        again = run_trials(_specs(graph, count=2), jobs=2, checkpoint=str(ck))
         for a, b in zip(first, again):
             assert a.final == b.final
-        assert leaked_shared_segments() == []
+        _assert_no_workers()
 
 
 class _SlowSigMatching(SynchronousMaximalMatching):
     """SMM that naps per rule evaluation — slow enough to SIGTERM
-    mid-sweep.  Module-level so forked workers can unpickle it."""
+    mid-sweep.  Registered by name before the sweep forks, so the
+    workers inherit it."""
 
     def enabled_rule(self, view):
         time.sleep(0.005)
@@ -235,10 +181,10 @@ class _SlowSigMatching(SynchronousMaximalMatching):
 
 
 class TestSignalDrivenShutdown:
-    """SIGTERM during a resilient sweep (PR 7 satellite): the runner
-    converts it into an unwinding exception, so the checkpoint JSONL is
-    flushed and every shm segment is unlinked before the process exits
-    with the conventional 128+15 status."""
+    """SIGTERM during a resilient sweep: the runner converts it into an
+    unwinding exception, so the checkpoint JSONL is flushed and every
+    worker is reaped before the process exits with the conventional
+    128+15 status."""
 
     _SCRIPT = """
 import sys, time
@@ -259,7 +205,6 @@ specs = [TrialSpec("slow-sig-test", graph, seed=s) for s in range(6)]
 runner = TrialRunner(
     jobs=1,
     checkpoint=sys.argv[1],
-    shared_graphs="always",
     on_result=lambda i, outcome, resumed: print("DONE", i, flush=True),
 )
 runner.map(specs)
@@ -294,7 +239,7 @@ for i in range(int(sys.argv[3])):
     if pid == 0:
         os.close(read)
         runner = TrialRunner(
-            jobs=1, checkpoint=ck, shared_graphs="always",
+            jobs=1, checkpoint=ck,
             on_result=lambda *_: os.write(write, b"x"),
         )
         try:
@@ -319,7 +264,7 @@ print(json.dumps({"codes": codes, "lines": lines}))
         block the exception was mangled, the signal lost and the sweep
         ran to completion with exit 0.  Fifty SIGTERMs at seeded random
         offsets must all unwind with 143, a well-formed checkpoint and
-        no leaked segment."""
+        no leaked worker."""
         import json
 
         env = dict(os.environ)
@@ -342,7 +287,7 @@ print(json.dumps({"codes": codes, "lines": lines}))
             # short of the end (the signal landed mid-sweep)
             assert 1 <= len(indices) < 12
             assert len(set(indices)) == len(indices)
-        assert leaked_shared_segments() == []
+        assert live_workers() == []
 
     def test_sigterm_flushes_checkpoint_and_unlinks_shm(self, tmp_path):
         ck = tmp_path / "sweep.jsonl"
@@ -379,8 +324,8 @@ print(json.dumps({"codes": codes, "lines": lines}))
             if line.strip()
         ]
         assert len(lines) >= 2
-        # ... and the SIGTERM'd parent unlinked its segments on the way out
-        assert leaked_shared_segments() == []
+        # ... and the SIGTERM'd parent reaped its workers on the way out
+        assert live_workers() == []
 
         # a resumed sweep completes from the checkpoint
         register_protocol("slow-sig-test", _SlowSigMatching)
@@ -393,7 +338,6 @@ print(json.dumps({"codes": codes, "lines": lines}))
             results = TrialRunner(
                 jobs=1,
                 checkpoint=str(ck),
-                shared_graphs="always",
                 on_result=lambda i, outcome, resumed: resumed_flags.append(
                     resumed
                 ),
@@ -403,4 +347,4 @@ print(json.dumps({"codes": codes, "lines": lines}))
         assert len(results) == 6
         assert not any(isinstance(r, FailedTrial) for r in results)
         assert resumed_flags.count(True) >= 2
-        assert leaked_shared_segments() == []
+        assert live_workers() == []

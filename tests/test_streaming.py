@@ -20,7 +20,7 @@ from repro.errors import ExperimentError
 from repro.graphs.generators import cycle_graph, random_geometric_graph, random_tree
 from repro.graphs.graph import Graph
 from repro.observability.metrics import MetricsRegistry, use_registry
-from repro.parallel.shared_graph import leaked_shared_segments
+from repro.parallel import live_workers
 from repro.streaming import (
     StreamEngine,
     load_trace,
@@ -288,7 +288,7 @@ class TestSoakSmoke:
     def test_bounded_soak_leaves_nothing_behind(self):
         """CI's soak smoke: a chunked never-restarting run stays inside
         its wall-clock budget, reports bounded memory, and leaks no
-        shared-memory segments."""
+        worker process."""
         graph = random_tree(32, rng=3)
         out = run_soak(
             "sis",
@@ -306,4 +306,4 @@ class TestSoakSmoke:
         assert out["rounds"] == report.rounds > 0
         assert len(report.samples) <= 32
         assert 0 < out["max_rss_kb"] < 4_000_000  # well under 4 GB
-        assert leaked_shared_segments() == []
+        assert live_workers() == []
