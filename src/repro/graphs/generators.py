@@ -141,8 +141,7 @@ def erdos_renyi_graph(
         # pairs in Python (prohibitive for n in the thousands)
         iu, ju = np.triu_indices(n, k=1)
         mask = gen.random(iu.shape[0]) < p
-        edges = zip(iu[mask].tolist(), ju[mask].tolist())
-        return Graph(range(n), edges)
+        return Graph(range(n), np.stack((iu[mask], ju[mask]), axis=1))
 
     g = sample()
     if not connected:
@@ -203,25 +202,53 @@ def random_geometric_graph(
 
 
 def unit_disk_graph(positions: np.ndarray, radius: float) -> Graph:
-    """The unit-disk graph of fixed ``positions`` (``(n, 2)`` array).
+    """The unit-disk graph of fixed ``positions`` (``(n, 2)`` array):
+    ``u`` and ``v`` are joined iff ``dx*dx + dy*dy <= radius**2 + 1e-12``.
 
     This is the pure connectivity function: the mobility simulator calls
     it on every repositioning to derive the instantaneous topology.
-    Vectorized with a full pairwise-distance computation — fine for the
-    n ≤ a few thousand this library targets.
+    O(n + m) expected by cell-list bucketing: with a cell side of at
+    least the (slackened) radius, every joined pair lies in the same or
+    an adjacent cell, so only those pairs are tested.  The test is the
+    brute-force form's own float expression, so the edge set is exactly
+    the all-pairs one (pinned by ``tests/test_generators.py``).
+    Non-finite points join nothing.
     """
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise GraphError("positions must be an (n, 2) array")
     n = pts.shape[0]
-    if n == 0:
-        return Graph([], [])
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    iu, ju = np.triu_indices(n, k=1)
-    close = dist2[iu, ju] <= radius * radius + 1e-12
-    edges = [(int(u), int(v)) for u, v, c in zip(iu, ju, close) if c]
-    return Graph(range(n), edges)
+    r2 = radius * radius + 1e-12
+    finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
+    p = pts[finite]
+    if p.shape[0] < 2:
+        return Graph(range(n), [])
+    low = p.min(axis=0)
+    span = float((p.max(axis=0) - low).max())
+    # widened so rounding cannot split a joined pair two cells apart;
+    # at most 2**20 cells a side keeps the cell keys small
+    side = max(math.sqrt(r2) * (1 + 1e-6), span / 2**20)
+    cell = ((p - low) // side).astype(np.int64)
+    width = int(cell[:, 1].max()) + 3  # y offsets -1..+1 never wrap
+    key = cell[:, 0] * width + cell[:, 1] + 1
+    order = np.argsort(key, kind="stable")
+    cells, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    # every point's own cell, then the half stencil (x+1, y-1..y+1) and
+    # (x, y+1): every pair of distinct cells is visited once
+    steps = np.array([0, width - 1, width, width + 1, 1])
+    target = (key[:, None] + steps).ravel()
+    slot = np.minimum(np.searchsorted(cells, target), cells.size - 1)
+    cnt = np.where(cells[slot] == target, count[slot], 0)
+    shift = np.cumsum(cnt) - cnt
+    a = np.repeat(np.arange(target.size) // steps.size, cnt)
+    b = order[np.arange(int(cnt.sum())) + np.repeat(start[slot] - shift, cnt)]
+    own = np.repeat(np.arange(target.size) % steps.size == 0, cnt)
+    keep = ~own | (a < b)  # each unordered pair of one cell once
+    a, b = a[keep], b[keep]
+    dx = p[a, 0] - p[b, 0]
+    dy = p[a, 1] - p[b, 1]
+    close = dx * dx + dy * dy <= r2
+    return Graph(range(n), finite[np.stack((a[close], b[close]), axis=1)])
 
 
 def from_networkx(g: nx.Graph) -> Graph:

@@ -1,26 +1,126 @@
-"""An immutable undirected graph with fast neighbourhood queries.
+"""An immutable undirected graph stored as CSR adjacency arrays.
 
-Why not use :class:`networkx.Graph` directly?  The protocols evaluate
-guards of the form "does some neighbour satisfy P" millions of times per
-experiment sweep; a frozen adjacency representation with tuple
-neighbour lists is measurably faster and, being immutable, can be shared
-freely between configurations, daemons and history snapshots without
-defensive copying.  Conversions to/from networkx are provided for
-interoperability (generators lean on networkx where convenient).
+The graph *is* its three int64 arrays: ``ids`` (the node ids,
+ascending), ``indptr`` and ``indices`` (dense neighbour indices, each
+row ascending).  The constructor validates and builds them with numpy
+sorts, so a 250k-node, 1M-edge network costs a fraction of a second,
+and the vectorized kernels read the arrays directly.
 
-Node identifiers are ints with the natural total order, matching the
-paper's assumption of unique, comparable ids (Section 2: "we assume
-each node is assigned a unique ID").
+Everything else is a view derived from the arrays on first use and
+memoised on the (immutable) graph: the ``{id: neighbour tuple}`` dict
+behind :meth:`Graph.neighbors` (the reference engine's guard
+evaluation), the :attr:`Graph.edges` frozenset, :attr:`Graph.nodes` and
+the ``{id: dense index}`` dict of :meth:`Graph.dense_index`.  A caller
+that never asks for a view never pays for it.  Immutability also lets
+one graph be shared between configurations, daemons, history snapshots
+and forked workers without defensive copying.  Conversions to/from
+networkx are provided for interoperability.
+
+Node identifiers are ints within the int64 range, with the natural
+total order, matching the paper's assumption of unique, comparable ids
+(Section 2: "we assume each node is assigned a unique ID").  An edge
+endpoint equal to a node id (``1.0``, ``True``, ``numpy.int64(1)``) is
+stored as that id.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+import zlib
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import GraphError
 from repro.types import Edge, NodeId, canonical_edge
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _check_nodes(node_list: list) -> None:
+    """Raise the error of the first invalid node id: duplicates first,
+    then the first non-int, then the first id outside int64."""
+    if len(set(node_list)) != len(node_list):
+        raise GraphError("duplicate node ids")
+    for x in node_list:
+        if not isinstance(x, int):
+            raise GraphError(f"node id {x!r} is not an int")
+        if not _INT64.min <= x <= _INT64.max:
+            raise GraphError(f"node id {x!r} is outside the int64 range")
+
+
+def _parse_ids(nodes: Iterable[NodeId]) -> np.ndarray:
+    """The sorted int64 id array of ``nodes``, validated."""
+    node_list = list(nodes)
+    if not set(map(type, node_list)) <= {int}:
+        _check_nodes(node_list)  # bools and int subclasses pass
+    try:
+        ids = np.array(node_list, dtype=np.int64)
+    except OverflowError:
+        _check_nodes(node_list)
+        raise
+    ids.sort()
+    if ids.size > 1 and (ids[1:] == ids[:-1]).any():
+        raise GraphError("duplicate node ids")
+    return ids
+
+
+def _dense_edges(edges, pos: Mapping) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense endpoint arrays of ``edges``, one Python step per edge.
+
+    The reference for every edge the vectorized path in
+    :func:`_parse_edges` cannot take, and the error path for any it
+    refuses: it raises, for the first offending edge in input order,
+    ``ValueError`` for a self loop, then :class:`GraphError` for an
+    endpoint equal to no node id, then for a repeated edge."""
+    us: list[int] = []
+    vs: list[int] = []
+    seen: set = set()
+    for u, v in edges:
+        try:
+            e = canonical_edge(u, v)  # raises on a self loop
+        except TypeError:  # incomparable endpoints: not both node ids
+            e = (u, v)
+        ku, kv = pos.get(u), pos.get(v)
+        if ku is None or kv is None:
+            raise GraphError(f"edge {e} references unknown node")
+        key = (ku, kv) if ku < kv else (kv, ku)
+        if key in seen:
+            raise GraphError(f"duplicate edge {e}")
+        seen.add(key)
+        us.append(ku)
+        vs.append(kv)
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+
+
+def _parse_edges(edges, ids: np.ndarray, pos: Callable[[], Mapping]) -> np.ndarray:
+    """The sorted directed entry keys ``row * n + col`` (both
+    orientations, dense indices) of ``edges``, validated.  ``pos``
+    returns the id -> dense index dict, built only when some edge needs
+    the per-edge path."""
+    n = ids.size
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        arr = np.asarray(edges) if len(edges) else np.empty((0, 2), np.int64)
+    except (TypeError, ValueError):  # ragged or otherwise exotic
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "ib":
+        u, v = _dense_edges(edges, pos())
+    else:
+        u, v = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
+        du = np.minimum(np.searchsorted(ids, u), max(n - 1, 0))
+        dv = np.minimum(np.searchsorted(ids, v), max(n - 1, 0))
+        known = (ids[du] == u) & (ids[dv] == v) if n else np.zeros(u.size, bool)
+        if not known.all():
+            _dense_edges(edges, pos())  # raises
+        u, v = du, dv
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = np.concatenate((lo * n + hi, hi * n + lo))
+    keys.sort()
+    if keys.size > 1 and (keys[1:] == keys[:-1]).any():
+        _dense_edges(edges, pos())  # a self loop or a repeat: raises
+    return keys
 
 
 class Graph:
@@ -29,11 +129,12 @@ class Graph:
     Parameters
     ----------
     nodes:
-        Iterable of node ids.  Ids must be unique ints.
+        Iterable of node ids.  Ids must be unique ints within int64.
     edges:
-        Iterable of ``(u, v)`` pairs.  Both endpoints must appear in
-        ``nodes``; self loops and duplicate edges are rejected so that
-        accidental workload bugs surface early.
+        Iterable of ``(u, v)`` pairs, or an ``(m, 2)`` integer array.
+        Both endpoints must equal node ids; self loops and duplicate
+        edges are rejected so that accidental workload bugs surface
+        early.
 
     Notes
     -----
@@ -42,40 +143,34 @@ class Graph:
     adjacency makes that a simple first-match scan.
     """
 
-    # ``_hash``, ``_csr`` and ``_fingerprint`` (the graph's part of
-    # :func:`repro.parallel.spec_fingerprint`) are memoised derived
-    # data: never pickled, rebuilt on first use
-    __slots__ = ("_adj", "_nodes", "_edges", "_hash", "_csr", "_fingerprint")
+    # ``_ids``/``_indptr``/``_indices`` are the graph; every other slot
+    # is a view or memo derived from them on first use, never pickled
+    __slots__ = (
+        "_ids", "_indptr", "_indices",
+        "_nodes", "_pos", "_adj", "_edges", "_hash", "_fingerprint", "_memo",
+    )
 
     def __init__(self, nodes: Iterable[NodeId], edges: Iterable[Tuple[NodeId, NodeId]]):
-        node_list = list(nodes)
-        node_set = set(node_list)
-        if len(node_set) != len(node_list):
-            raise GraphError("duplicate node ids")
-        for n in node_list:
-            if not isinstance(n, int):
-                raise GraphError(f"node id {n!r} is not an int")
+        ids = _parse_ids(nodes)
+        self._init(ids, None, None)
+        keys = _parse_edges(edges, ids, self.dense_index)
+        width = max(ids.size, 1)  # keys are row * n + col
+        rows = keys // width
+        self._indptr = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=ids.size), out=self._indptr[1:])
+        self._indices = keys - rows * width
 
-        adj: Dict[NodeId, list[NodeId]] = {n: [] for n in node_list}
-        edge_set: set[Edge] = set()
-        for u, v in edges:
-            e = canonical_edge(u, v)
-            if e in edge_set:
-                raise GraphError(f"duplicate edge {e}")
-            if u not in node_set or v not in node_set:
-                raise GraphError(f"edge {e} references unknown node")
-            edge_set.add(e)
-            adj[u].append(v)
-            adj[v].append(u)
-
-        self._adj: Dict[NodeId, Tuple[NodeId, ...]] = {
-            n: tuple(sorted(neigh)) for n, neigh in adj.items()
-        }
-        self._nodes: Tuple[NodeId, ...] = tuple(sorted(node_list))
-        self._edges: frozenset[Edge] = frozenset(edge_set)
-        self._hash: int | None = None
-        self._csr: tuple | None = None
-        self._fingerprint: tuple | None = None
+    def _init(self, ids, indptr, indices) -> None:
+        self._ids = ids
+        self._indptr = indptr
+        self._indices = indices
+        self._nodes = None
+        self._pos = None
+        self._adj = None
+        self._edges = None
+        self._hash = None
+        self._fingerprint = None
+        self._memo = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -83,41 +178,48 @@ class Graph:
     @property
     def nodes(self) -> Tuple[NodeId, ...]:
         """All node ids, ascending."""
+        if self._nodes is None:
+            self._nodes = tuple(self._ids.tolist())
         return self._nodes
 
     @property
     def edges(self) -> frozenset[Edge]:
-        """All edges in canonical ``(min, max)`` form.
-
-        Graphs derived via :meth:`with_updates` materialize this set
-        lazily from the adjacency dict: the streaming engine derives a
-        graph per topology event, and an eager O(m) edge-set rebuild
-        would dwarf the incremental CSR patch it exists to avoid.
-        """
+        """All edges in canonical ``(min, max)`` form (built on first
+        access)."""
         if self._edges is None:
+            ids, indices = self._ids, self._indices
+            row = np.repeat(ids, np.diff(self._indptr))
+            upper = ids[indices] > row
             self._edges = frozenset(
-                (n, v) for n, row in self._adj.items() for v in row if n < v
+                zip(row[upper].tolist(), ids[indices[upper]].tolist())
             )
         return self._edges
 
     @property
     def n(self) -> int:
         """Number of nodes (the paper's ``n``)."""
-        return len(self._nodes)
+        return int(self._ids.size)
 
     @property
     def m(self) -> int:
         """Number of edges."""
-        if self._edges is not None:
-            return len(self._edges)
-        if self._csr is not None:
-            return int(self._csr[1].size) // 2
-        return sum(len(row) for row in self._adj.values()) // 2
+        return int(self._indices.size) // 2
+
+    def _adjacency(self) -> Dict[NodeId, Tuple[NodeId, ...]]:
+        """The ``{id: neighbour ids}`` view (built on first use)."""
+        if self._adj is None:
+            flat = self._ids[self._indices].tolist()
+            bounds = self._indptr.tolist()
+            self._adj = {
+                node: tuple(flat[bounds[k]:bounds[k + 1]])
+                for k, node in enumerate(self.nodes)
+            }
+        return self._adj
 
     def neighbors(self, node: NodeId) -> Tuple[NodeId, ...]:
         """Neighbours of ``node``, ascending.  ``N(i)`` in the paper."""
         try:
-            return self._adj[node]
+            return self._adjacency()[node]
         except KeyError:
             raise GraphError(f"unknown node {node!r}") from None
 
@@ -134,88 +236,86 @@ class Graph:
 
     def max_degree(self) -> int:
         """``Δ(G)``; 0 for the empty graph."""
-        return max((len(a) for a in self._adj.values()), default=0)
+        return int(np.diff(self._indptr).max()) if self.n else 0
 
     def has_node(self, node: NodeId) -> bool:
-        return node in self._adj
+        return node in self.dense_index()
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         if u == v:
             return False
-        if self._edges is not None:
-            return canonical_edge(u, v) in self._edges
-        return v in self._adj.get(u, ())
+        return v in self._adjacency().get(u, ())
 
     def __contains__(self, node: object) -> bool:
-        return node in self._adj
+        return node in self.dense_index()
 
     def __iter__(self) -> Iterator[NodeId]:
-        return iter(self._nodes)
+        return iter(self.nodes)
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self.n
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._nodes == other._nodes and self.edges == other.edges
+        return self is other or (
+            np.array_equal(self._ids, other._ids)
+            and np.array_equal(self._indptr, other._indptr)
+            and np.array_equal(self._indices, other._indices)
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._nodes, self.edges))
+            # crc32 reads the arrays in place, and unlike a bytes hash
+            # it is the same in every process
+            crc = zlib.crc32(self._ids)
+            crc = zlib.crc32(self._indices, zlib.crc32(self._indptr, crc))
+            self._hash = hash((self.n, self.m, crc))
         return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(n={self.n}, m={self.m})"
 
     def __getstate__(self):
-        # Keep pickles lean: the CSR cache and hash are derived data and
-        # rebuilt lazily on the receiving side.
-        # ``_edges`` may itself be lazily None on derived graphs.
-        return {"_adj": self._adj, "_nodes": self._nodes, "_edges": self._edges}
+        # the arrays only: every view and memo is rebuilt on demand
+        return {"ids": self._ids, "indptr": self._indptr, "indices": self._indices}
 
     def __setstate__(self, state) -> None:
-        self._adj = state["_adj"]
-        self._nodes = state["_nodes"]
-        self._edges = state["_edges"]
-        self._hash = None
-        self._csr = None
-        self._fingerprint = None
+        self._init(state["ids"], state["indptr"], state["indices"])
 
     # ------------------------------------------------------------------
     # structure queries
     # ------------------------------------------------------------------
     def is_connected(self) -> bool:
         """True iff the graph is connected (vacuously true when empty)."""
-        if self.n == 0:
-            return True
-        seen = {self._nodes[0]}
-        stack = [self._nodes[0]]
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
+        return len(self._components()) <= 1
 
     def connected_components(self) -> list[frozenset[NodeId]]:
         """Connected components as frozensets, ordered by smallest member."""
-        seen: set[NodeId] = set()
-        comps: list[frozenset[NodeId]] = []
-        for start in self._nodes:
-            if start in seen:
+        nodes = self.nodes
+        return [frozenset(nodes[k] for k in comp) for comp in self._components()]
+
+    def _components(self) -> list[list[int]]:
+        """Dense-index components by depth-first search, in order of
+        their smallest member."""
+        indptr = self._indptr.tolist()
+        indices = self._indices.tolist()
+        seen = [False] * self.n
+        comps = []
+        for start in range(self.n):
+            if seen[start]:
                 continue
-            comp = {start}
+            seen[start] = True
+            comp = [start]
             stack = [start]
             while stack:
                 u = stack.pop()
-                for v in self._adj[u]:
-                    if v not in comp:
-                        comp.add(v)
+                for v in indices[indptr[u]:indptr[u + 1]]:
+                    if not seen[v]:
+                        seen[v] = True
+                        comp.append(v)
                         stack.append(v)
-            seen |= comp
-            comps.append(frozenset(comp))
+            comps.append(comp)
         return comps
 
     # ------------------------------------------------------------------
@@ -244,12 +344,12 @@ class Graph:
         """Derive a graph with nodes and edges added/removed incrementally.
 
         Unlike constructing ``Graph(nodes, edges)`` from scratch, this
-        patches the derived structures: the adjacency dict copies
-        untouched rows, and — crucially for the streaming engine — a
-        cached CSR (:meth:`adjacency_arrays` / :meth:`dense_index`) is
-        carried over by splicing only the changed rows instead of the
-        O(n + m) Python rebuild.  The patched arrays are byte-identical
-        to a from-scratch rebuild (pinned by ``tests/test_streaming.py``).
+        validates only the changes and splices them into the arrays:
+        O(changes) Python plus a few O(n + m) array passes, which the
+        streaming engine pays per topology event.  The arrays are
+        byte-identical to a from-scratch rebuild (pinned by
+        ``tests/test_streaming.py``).  With the node set unchanged the
+        derived graph shares ``ids`` and the node views with ``self``.
 
         Removing a node drops its incident edges implicitly.  Added
         nodes start isolated; edges may reference them in the same call
@@ -257,192 +357,122 @@ class Graph:
         """
         add_edge_list = [canonical_edge(u, v) for u, v in add_edges]
         remove_edge_list = [canonical_edge(u, v) for u, v in remove_edges]
-        add_node_list = list(add_nodes)
-        remove_node_list = list(remove_nodes)
+        pos = self.dense_index()
 
-        removed_nodes: set[NodeId] = set()
-        for nd in remove_node_list:
-            if nd not in self._adj:
+        removed: Dict[NodeId, int] = {}  # id -> old dense index
+        for nd in remove_nodes:
+            if nd not in pos:
                 raise GraphError(f"unknown node {nd!r}")
-            if nd in removed_nodes:
+            if nd in removed:
                 raise GraphError("duplicate node ids")
-            removed_nodes.add(nd)
-        added_nodes: set[NodeId] = set()
-        for nd in add_node_list:
+            removed[nd] = pos[nd]
+        added: Dict[NodeId, int] = {}  # id as given -> int id
+        for nd in add_nodes:
             if not isinstance(nd, int):
                 raise GraphError(f"node id {nd!r} is not an int")
-            if nd in self._adj or nd in removed_nodes:
+            if nd in pos or nd in removed:
                 raise GraphError(f"cannot add existing node {nd}")
-            if nd in added_nodes:
+            if nd in added:
                 raise GraphError("duplicate node ids")
-            added_nodes.add(nd)
+            if not _INT64.min <= nd <= _INT64.max:
+                raise GraphError(f"node id {nd!r} is outside the int64 range")
+            added[nd] = int(nd)
 
-        edge_remove: set[Edge] = set()
+        ids = self._ids
+        edge_remove: Dict[Edge, Tuple[int, int]] = {}  # as given -> dense
         for e in remove_edge_list:
-            if e[1] not in self._adj.get(e[0], ()) or e in edge_remove:
+            dense = self._dense_edge(pos, e)
+            if dense is None or e in edge_remove:
                 raise GraphError(f"cannot remove absent edge {e}")
-            edge_remove.add(e)
-        for nd in removed_nodes:
-            for v in self._adj[nd]:
-                edge_remove.add(canonical_edge(nd, v))
+            edge_remove[e] = dense
+        for nd, k in removed.items():
+            for j in self._indices[self._indptr[k]:self._indptr[k + 1]].tolist():
+                e = (ids[min(j, k)].item(), ids[max(j, k)].item())
+                edge_remove[e] = (min(j, k), max(j, k))
 
         def _present(x: NodeId) -> bool:
-            return (x in self._adj and x not in removed_nodes) or x in added_nodes
+            return (x in pos and x not in removed) or x in added
 
-        edge_add: set[Edge] = set()
+        edge_add: Dict[Edge, None] = {}
         for e in add_edge_list:
-            present = e[1] in self._adj.get(e[0], ())
+            present = self._dense_edge(pos, e) is not None
             if (present and e not in edge_remove) or e in edge_add:
                 raise GraphError(f"cannot add existing edge {e}")
             if not _present(e[0]) or not _present(e[1]):
                 raise GraphError(f"edge {e} references unknown node")
-            edge_add.add(e)
+            edge_add[e] = None
 
-        # Net per-row adjacency deltas (an edge both removed and added
-        # in one call is a no-op and must not dirty its rows).
-        net_removed = edge_remove - edge_add
-        net_added = edge_add - edge_remove
-        deltas: Dict[NodeId, Tuple[set, set]] = {}
-        for u, v in net_removed:
-            for x, y in ((u, v), (v, u)):
-                if x not in removed_nodes:
-                    deltas.setdefault(x, (set(), set()))[0].add(y)
-        for u, v in net_added:
-            for x, y in ((u, v), (v, u)):
-                deltas.setdefault(x, (set(), set()))[1].add(y)
+        # net changes: an edge both removed and added in one call is a
+        # no-op (it is not removed and never re-added)
+        gone = [d for e, d in edge_remove.items() if e not in edge_add]
+        new = [e for e in edge_add if e not in edge_remove]
+        if not gone and not new and not removed and not added:
+            return self  # immutable: the same graph
 
-        adj = dict(self._adj)
-        for nd in removed_nodes:
-            del adj[nd]
-        for nd in added_nodes:
-            adj[nd] = ()
-        for node, (gone, new) in deltas.items():
-            row = set(self._adj.get(node, ()))
-            row.difference_update(gone)
-            row.update(new)
-            adj[node] = tuple(sorted(row))
-
-        graph = Graph.__new__(Graph)
-        graph._adj = adj
-        if removed_nodes or added_nodes:
-            graph._nodes = tuple(sorted((set(self._nodes) - removed_nodes) | added_nodes))
+        # drop both entries of every removed edge (the incident edges
+        # of removed nodes included), then renumber for a changed node
+        # set: dense indices shift monotonically, so rows stay sorted
+        indptr, indices = self._indptr, self._indices
+        deg = indptr[1:] - indptr[:-1]
+        if gone:
+            entries = [(a, b) for a, b in gone] + [(b, a) for a, b in gone]
+            indices = np.delete(indices, [self._find(x, y) for x, y in entries])
+            deg = deg - np.bincount([x for x, _ in entries], minlength=self.n)
+        if removed or added:
+            alive = np.ones(self.n, dtype=bool)
+            alive[list(removed.values())] = False
+            new_ids = np.concatenate(
+                (ids[alive], np.array(list(added.values()), dtype=np.int64))
+            )
+            new_ids.sort()
+            remap = np.searchsorted(new_ids, ids)
+            indices = remap[indices]
+            kept, deg = deg[alive], np.zeros(new_ids.size, dtype=np.int64)
+            deg[remap[alive]] = kept
+            nodes = pos_new = None
         else:
-            graph._nodes = self._nodes
-        # Lazy: materialized from ``_adj`` on first ``.edges`` access.
-        # An eager frozenset rebuild here is O(m) and would dominate the
-        # per-event cost the incremental CSR patch keeps at O(changed).
-        graph._edges = None
-        graph._hash = None
-        graph._csr = None
-        graph._fingerprint = None
-        if self._csr is not None:
-            if removed_nodes or added_nodes:
-                graph._csr = self._csr_patch_nodes(
-                    graph, deltas, removed_nodes, added_nodes
-                )
-            else:
-                graph._csr = self._csr_patch_edges(graph, deltas)
+            new_ids, nodes, pos_new = ids, self._nodes, self._pos
+        if new:
+            def _id(x: NodeId) -> int:
+                return added[x] if x in added else ids[pos[x]].item()
+
+            dense = np.searchsorted(
+                new_ids, np.array([[_id(u), _id(v)] for u, v in new], dtype=np.int64)
+            ).tolist()
+            entries = sorted([(a, b) for a, b in dense] + [(b, a) for a, b in dense])
+            starts = np.concatenate(([0], np.cumsum(deg))).tolist()
+            at = [
+                starts[x] + int(indices[starts[x]:starts[x + 1]].searchsorted(y))
+                for x, y in entries
+            ]
+            indices = np.insert(indices, at, [y for _, y in entries])
+            deg = deg + np.bincount([x for x, _ in entries], minlength=new_ids.size)
+        new_indptr = np.zeros(new_ids.size + 1, dtype=np.int64)
+        np.cumsum(deg, out=new_indptr[1:])
+        graph = Graph.__new__(Graph)
+        graph._init(new_ids, new_indptr, indices)
+        graph._nodes, graph._pos = nodes, pos_new
         return graph
 
-    def _csr_patch_edges(self, graph: "Graph", deltas) -> tuple:
-        """Patch the cached CSR for edge-only changes (node set fixed).
+    def _find(self, x: int, y: int):
+        """Position of dense neighbour ``y`` among row ``x``'s entries
+        of ``indices``, or ``None`` when ``y`` is not a neighbour."""
+        start, stop = int(self._indptr[x]), int(self._indptr[x + 1])
+        k = start + int(self._indices[start:stop].searchsorted(y))
+        return k if k < stop and self._indices[k] == y else None
 
-        Only the rows whose adjacency changed are rebuilt; everything
-        else is spliced over with C-level array copies.  Returns a new
-        ``(indptr, indices, ids, pos)`` tuple byte-identical to what
-        :meth:`_csr_cache` would rebuild from scratch (``ids``/``pos``
-        are shared with ``self`` — they are treated as read-only).
-        """
-        indptr, indices, ids, pos = self._csr
-        if not deltas:
-            return self._csr
-        import numpy as np
-
-        changed = sorted(pos[node] for node in deltas)
-        delta = np.zeros(self.n, dtype=np.int64)
-        parts = []
-        prev = 0
-        for k in changed:
-            row = graph._adj[self._nodes[k]]
-            delta[k] = len(row) - int(indptr[k + 1] - indptr[k])
-            parts.append(indices[prev:int(indptr[k])])
-            parts.append(np.fromiter((pos[v] for v in row), dtype=np.int64, count=len(row)))
-            prev = int(indptr[k + 1])
-        parts.append(indices[prev:])
-        new_indices = np.concatenate(parts)
-        new_indptr = indptr.copy()
-        np.cumsum(delta, out=delta)
-        new_indptr[1:] += delta
-        return (new_indptr, new_indices, ids, pos)
-
-    def _csr_patch_nodes(self, graph: "Graph", deltas, removed_nodes, added_nodes) -> tuple:
-        """Patch the cached CSR across a node-set change.
-
-        Surviving rows are filtered and remapped with vectorized masks
-        (dense indices shift when nodes enter/leave the sorted id
-        order); only rows with edge deltas and the new empty rows are
-        rebuilt.  Byte-identical to a from-scratch rebuild.
-        """
-        import bisect
-
-        import numpy as np
-
-        old_indptr, old_indices, old_ids, old_pos = self._csr
-        new_nodes = graph._nodes
-        new_n = len(new_nodes)
-        new_ids = np.asarray(new_nodes, dtype=np.int64)
-        new_pos = {node: k for k, node in enumerate(new_nodes)}
-
-        old_n = self.n
-        keep = np.ones(old_n, dtype=bool)
-        for nd in removed_nodes:
-            keep[old_pos[nd]] = False
-        remap = np.full(old_n, -1, dtype=np.int64)
-        remap[keep] = np.searchsorted(new_ids, old_ids[keep])
-
-        # Drop entries in removed rows or pointing at removed nodes,
-        # then remap survivors to their new dense indices (monotone, so
-        # per-row sortedness is preserved).
-        row_of = np.repeat(np.arange(old_n), np.diff(old_indptr))
-        ekeep = keep[row_of] & keep[old_indices] if old_indices.size else np.zeros(0, bool)
-        kept_entries = remap[old_indices[ekeep]]
-        kept_counts = np.bincount(row_of[ekeep], minlength=old_n)[keep]
-        kept_indptr = np.zeros(kept_counts.size + 1, dtype=np.int64)
-        np.cumsum(kept_counts, out=kept_indptr[1:])
-
-        added_positions = sorted(new_pos[nd] for nd in added_nodes)
-        special = sorted(
-            set(added_positions) | {new_pos[nd] for nd in deltas if nd in new_pos}
-        )
-
-        def kept_row(k: int) -> int:
-            return k - bisect.bisect_left(added_positions, k)
-
-        parts = []
-        prev_k = 0
-        for k in special:
-            if prev_k < k:
-                parts.append(kept_entries[kept_indptr[kept_row(prev_k)]:kept_indptr[kept_row(k)]])
-            row = graph._adj[new_nodes[k]]
-            parts.append(np.fromiter((new_pos[v] for v in row), dtype=np.int64, count=len(row)))
-            prev_k = k + 1
-        if prev_k < new_n:
-            parts.append(kept_entries[kept_indptr[kept_row(prev_k)]:])
-        if parts:
-            new_indices = np.concatenate(parts)
-        else:
-            new_indices = np.empty(0, dtype=np.int64)
-
-        new_indptr = np.zeros(new_n + 1, dtype=np.int64)
-        for k, node in enumerate(new_nodes):
-            new_indptr[k + 1] = new_indptr[k] + len(graph._adj[node])
-        return (new_indptr, new_indices, new_ids, new_pos)
+    def _dense_edge(self, pos: Mapping, e: Edge):
+        """``(lo, hi)`` dense indices of edge ``e`` if it is present."""
+        ku, kv = pos.get(e[0]), pos.get(e[1])
+        if ku is None or kv is None or self._find(ku, kv) is None:
+            return None
+        return (ku, kv) if ku < kv else (kv, ku)
 
     def subgraph(self, nodes: Iterable[NodeId]) -> "Graph":
         """Induced subgraph on ``nodes``."""
         keep = set(nodes)
         for nd in keep:
-            if nd not in self._adj:
+            if nd not in self:
                 raise GraphError(f"unknown node {nd!r}")
         edges = [e for e in self.edges if e[0] in keep and e[1] in keep]
         return Graph(keep, edges)
@@ -454,11 +484,11 @@ class Graph:
         keeping the topology fixed (both SMM's R2 and SIS's guards are
         id-sensitive, so the id permutation is part of the workload).
         """
-        if set(mapping) != set(self._nodes):
+        if set(mapping) != set(self.nodes):
             raise GraphError("relabel mapping must cover exactly the node set")
         if len(set(mapping.values())) != len(mapping):
             raise GraphError("relabel mapping must be injective")
-        nodes = [mapping[n] for n in self._nodes]
+        nodes = [mapping[n] for n in self.nodes]
         edges = [(mapping[u], mapping[v]) for u, v in self.edges]
         return Graph(nodes, edges)
 
@@ -468,7 +498,7 @@ class Graph:
     def to_networkx(self) -> nx.Graph:
         """Convert to a :class:`networkx.Graph` (copies the structure)."""
         g = nx.Graph()
-        g.add_nodes_from(self._nodes)
+        g.add_nodes_from(self.nodes)
         g.add_edges_from(self.edges)
         return g
 
@@ -492,41 +522,36 @@ class Graph:
         return cls(nodes, edge_list)
 
     def adjacency_arrays(self):
-        """CSR-style adjacency ``(indptr, indices, ids)`` as numpy arrays.
+        """CSR adjacency ``(indptr, indices, ids)`` as int64 arrays.
 
         The vectorized kernels (``repro.matching.smm_vectorized`` and
         ``repro.mis.sis_vectorized``) consume this flat layout; see the
         HPC guide note in DESIGN.md §5 (contiguous arrays, views not
         copies).  ``ids[k]`` maps dense index ``k`` back to the node id;
-        ``indices`` holds *dense* neighbour indices.
-
-        The arrays are built once per graph and cached (the graph is
-        immutable), so repeated kernel construction over one graph —
-        the E10 sweep inner loop — costs O(1) after the first call.
-        Callers must treat the returned arrays as read-only.
+        ``indices`` holds *dense* neighbour indices, each row ascending.
+        These are the graph's own storage: O(1), and callers must treat
+        them as read-only.
         """
-        indptr, indices, ids, _ = self._csr_cache()
-        return indptr, indices, ids
+        return self._indptr, self._indices, self._ids
 
-    def dense_index(self):
-        """Cached ``{node id -> dense index}`` mapping (the inverse of
-        ``adjacency_arrays()``'s ``ids``).  Treat as read-only."""
-        return self._csr_cache()[3]
+    def dense_index(self) -> Dict[NodeId, int]:
+        """``{node id -> dense index}`` (the inverse of
+        ``adjacency_arrays()``'s ``ids``), built on first use.  Treat
+        as read-only."""
+        if self._pos is None:
+            self._pos = dict(zip(self.nodes, range(self.n)))
+        return self._pos
 
-    def _csr_cache(self):
-        if self._csr is None:
-            import numpy as np
+    def memo(self, key, build: Callable[[], object]):
+        """``build()``, computed once per graph and key.
 
-            ids = np.asarray(self._nodes, dtype=np.int64)
-            pos = {node: k for k, node in enumerate(self._nodes)}
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for k, node in enumerate(self._nodes):
-                indptr[k + 1] = indptr[k] + len(self._adj[node])
-            indices = np.empty(int(indptr[-1]), dtype=np.int64)
-            cursor = 0
-            for node in self._nodes:
-                for v in self._adj[node]:
-                    indices[cursor] = pos[v]
-                    cursor += 1
-            self._csr = (indptr, indices, ids, pos)
-        return self._csr
+        For arrays derived from the (immutable) adjacency that several
+        consumers need, such as the kernels' CSR row-owner array.  Not
+        pickled and not carried over by :meth:`with_updates`."""
+        if self._memo is None:
+            self._memo = {}
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value

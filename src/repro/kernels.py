@@ -94,6 +94,18 @@ def closed_neighborhood(
     return merged[keep]
 
 
+def csr_rows(graph, dtype) -> np.ndarray:
+    """The row (dense index, as ``dtype``) owning each CSR entry of
+    ``graph``, memoised on the graph: every kernel over it shares one."""
+    dtype = np.dtype(dtype)
+
+    def build() -> np.ndarray:
+        indptr = graph.adjacency_arrays()[0]
+        return np.repeat(np.arange(graph.n, dtype=dtype), np.diff(indptr))
+
+    return graph.memo(("rows", dtype.str), build)
+
+
 def segment_reduce(
     ufunc: np.ufunc, vals: np.ndarray, indptr: np.ndarray, fill
 ) -> np.ndarray:
@@ -142,7 +154,7 @@ def ordered_states(graph, config) -> Optional[list]:
     if len(states) != graph.n:
         return None
     try:
-        return list(map(states.__getitem__, graph.dense_index()))
+        return list(map(states.__getitem__, graph.nodes))
     except KeyError:
         return None
 
@@ -228,16 +240,13 @@ class KernelBoundary:
 
     def __init__(self, graph) -> None:
         self.graph = graph
-        # adjacency_arrays() is cached on the (immutable) graph, so
-        # constructing many kernels over one graph — the E10 sweep inner
-        # loop, every fault event of a stream — is O(1) after the first
+        # the graph's own arrays: constructing many kernels over one
+        # graph — the E10 sweep inner loop — costs O(1) each
         indptr, indices, ids = graph.adjacency_arrays()
         self.n = graph.n
         self._indptr = indptr
         self._indices = indices
         self._ids = ids
-        # ids ascending, in dense order (iterating it yields the ids)
-        self._id_to_dense = graph.dense_index()
 
     def _reject(self, config):
         """Raise the protocol's own error for a configuration the array
@@ -262,7 +271,7 @@ class KernelBoundary:
 
     def _decode(self, values: list) -> Configuration:
         """Configuration from per-dense-index state values."""
-        return Configuration(zip(self._id_to_dense, values))
+        return Configuration(zip(self.graph.nodes, values))
 
     def legitimate(self, state: np.ndarray) -> bool:
         """The protocol's legitimacy predicate on a dense state."""
@@ -304,21 +313,22 @@ class FrontierKernel(KernelBoundary):
     CLEAN: int
     Result: type
 
-    _indptr_list: Optional[List[int]] = None
-    _indices_list: Optional[List[int]] = None
-
     def __init__(self, graph, dtype) -> None:
         super().__init__(graph)
         self._dtype = np.dtype(dtype)
+        self._row_lists: Dict[int, List[int]] = {}
 
-    def _scalar_csr(self) -> Tuple[List[int], List[int]]:
-        """Plain-list CSR mirror for the scalar round, built on first
-        use (unboxed int lookups beat ndarray access ~3x for the handful
-        of reads per tiny round)."""
-        if self._indices_list is None:
-            self._indptr_list = self._indptr.tolist()
-            self._indices_list = self._indices.tolist()
-        return self._indptr_list, self._indices_list
+    def _neighbors(self, i: int) -> List[int]:
+        """Row ``i``'s dense neighbours as a list, fetched on the first
+        scalar round that visits it (unboxed int lookups beat ndarray
+        access ~3x for the handful of reads per tiny round, and a tiny
+        frontier visits a handful of rows)."""
+        row = self._row_lists.get(i)
+        if row is None:
+            row = self._row_lists[i] = self._indices[
+                self._indptr[i]:self._indptr[i + 1]
+            ].tolist()
+        return row
 
     def _frontier_sound(self, state: np.ndarray) -> bool:
         """Whether every guard of ``state`` reads only its closed
@@ -391,11 +401,11 @@ class FrontierKernel(KernelBoundary):
             if isinstance(movers, list):
                 # a few scalar writes beat fancy indexing; the next
                 # dirty set stays a sorted list for the scalar round
-                indptr, indices = self._scalar_csr()
+                neighbors = self._neighbors
                 nxt = set(movers)
                 for i, v in zip(movers, vals):
                     state[i] = v
-                    nxt.update(indices[indptr[i]:indptr[i + 1]])
+                    nxt.update(neighbors(i))
                 dirty = sorted(nxt)
             else:
                 state[movers] = vals

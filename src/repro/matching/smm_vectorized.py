@@ -43,6 +43,7 @@ from repro.kernels import (
     SMM_NULL,
     FrontierKernel,
     csr_entry_positions,
+    csr_rows,
     segment_any,
     segment_min,
     smm_dense_pointers,
@@ -80,13 +81,13 @@ class VectorizedSMM(FrontierKernel):
 
     def __init__(self, graph: Graph) -> None:
         super().__init__(graph, state_dtype(graph.n))
-        if self._indices.dtype != self._dtype:
-            self._indices = self._indices.astype(self._dtype)
-        # row owner of each CSR entry, precomputed once (no per-round
-        # allocation for it)
-        self._row = np.repeat(
-            np.arange(self.n, dtype=self._dtype), np.diff(self._indptr)
+        # state-dtype CSR entries and their row owners, memoised on the
+        # graph (no per-run or per-round allocation for them)
+        indices, dtype = self._indices, self._dtype
+        self._indices = graph.memo(
+            ("indices", dtype.str), lambda: indices.astype(dtype, copy=False)
         )
+        self._row = csr_rows(graph, dtype)
         self._arange = np.arange(self.n, dtype=self._dtype)
 
     # ------------------------------------------------------------------
@@ -112,7 +113,7 @@ class VectorizedSMM(FrontierKernel):
         if self._lookup is None:
             # target id per dense index, with None last: SMM_NULL = -1
             # indexes it
-            self._lookup = np.array([*self._id_to_dense, None], dtype=object)
+            self._lookup = np.array([*self.graph.nodes, None], dtype=object)
         return self._decode(self._lookup[ptr].tolist())
 
     def legitimate(self, ptr: np.ndarray) -> bool:
@@ -229,7 +230,7 @@ class VectorizedSMM(FrontierKernel):
         """Pure-Python decisions for a tiny frontier.  CSR rows ascend,
         so the first proposer / null neighbour found scanning a row is
         the minimum-id one."""
-        indptr, indices = self._scalar_csr()
+        neighbors = self._neighbors
         movers: List[int] = []
         vals: List[int] = []
         c1 = c2 = c3 = 0
@@ -238,8 +239,7 @@ class VectorizedSMM(FrontierKernel):
             if p < 0:
                 proposer = -1
                 null_nbr = -1
-                for e in range(indptr[i], indptr[i + 1]):
-                    j = indices[e]
+                for j in neighbors(i):
                     q = int(ptr[j])
                     if q == i:
                         proposer = j

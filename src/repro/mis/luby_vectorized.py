@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.configuration import Configuration
 from repro.errors import StabilizationTimeout
 from repro.graphs.graph import Graph
-from repro.kernels import KernelBoundary, Observer, segment_any
+from repro.kernels import KernelBoundary, Observer, csr_rows, segment_any, state_dtype
 from repro.mis.variants import LubyStyleMIS
 from repro.rng import RngLike, ensure_rng
 from repro.types import NodeId
@@ -56,9 +56,7 @@ class VectorizedLuby(KernelBoundary):
 
     def __init__(self, graph: Graph) -> None:
         super().__init__(graph)
-        self._row = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(self._indptr)
-        )
+        self._row = csr_rows(graph, state_dtype(self.n))
 
     # ------------------------------------------------------------------
     def encode(self, config) -> np.ndarray:

@@ -41,7 +41,13 @@ import numpy as np
 from repro.core.configuration import Configuration
 from repro.engine.adapter import telemetry_run  # noqa: F401  (module API)
 from repro.graphs.graph import Graph
-from repro.kernels import FrontierKernel, csr_entry_positions, segment_any
+from repro.kernels import (
+    FrontierKernel,
+    csr_entry_positions,
+    csr_rows,
+    segment_any,
+    state_dtype,
+)
 from repro.mis.sis import SynchronousMaximalIndependentSet
 from repro.types import NodeId
 
@@ -71,12 +77,12 @@ class VectorizedSIS(FrontierKernel):
 
     def __init__(self, graph: Graph) -> None:
         super().__init__(graph, np.uint8)
-        self._row = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(self._indptr)
+        self._row = row = csr_rows(graph, state_dtype(self.n))
+        # entry mask: neighbour id greater than owner id (dense order is
+        # id order); topology only, so memoised on the graph
+        self._bigger_entry = graph.memo(
+            "bigger_entry", lambda: self._indices > row
         )
-        # entry mask: neighbour id greater than owner id (precomputable —
-        # it depends only on the topology, not the configuration)
-        self._bigger_entry = self._ids[self._indices] > self._ids[self._row]
 
     def encode(self, config) -> np.ndarray:
         """Dense 0/1 array from a ``{node: bit}`` mapping, validated on
@@ -153,14 +159,13 @@ class VectorizedSIS(FrontierKernel):
         equals id order, so a row's larger-id neighbours are the CSR
         entries ``> i`` — scanned back to front so the first hit
         decides."""
-        indptr, indices = self._scalar_csr()
+        neighbors = self._neighbors
         movers: List[int] = []
         vals: List[int] = []
         c1 = c2 = 0
         for i in rows:
             blocked = False
-            for e in range(indptr[i + 1] - 1, indptr[i] - 1, -1):
-                j = indices[e]
+            for j in reversed(neighbors(i)):
                 if j <= i:
                     break
                 if x[j] == 1:

@@ -18,7 +18,7 @@ mirroring the reference path draw for draw — victims come from the same
 ``gen.choice`` over dense indices (:func:`~repro.core.faults.perturb_victims`
 maps them to ids; here they *are* the array positions), and each
 victim's redraw consumes the identical generator calls (the kernels'
-``perturb_node``).  Explicit-edge churn splices the cached CSR
+``perturb_node``).  Explicit-edge churn splices the graph's CSR
 (:meth:`~repro.graphs.graph.Graph.with_updates`) and migrates the dense
 state in place (``drop_removed_links``).  The remaining events
 (``crash``/``rejoin``, random churn, ``message_loss``) decode to a
@@ -121,7 +121,7 @@ class VectorAdapter:
             for node in sites:
                 self.kernel.perturb_node(self.state, index[node], gen)
         elif event.kind == "churn" and (event.add_edges or event.remove_edges):
-            # explicit-edge fast path: splice the cached CSR and migrate
+            # explicit-edge fast path: splice the CSR arrays and migrate
             # the dense state without a decode/encode round trip
             graph = self.graph.with_updates(
                 add_edges=event.add_edges, remove_edges=event.remove_edges

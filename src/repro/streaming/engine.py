@@ -42,8 +42,8 @@ Backends
 Both backends reuse the fault campaign's adapters unchanged.
 ``reference`` steps the reference engine.  ``vectorized``
 (:class:`~repro.resilience.vector.VectorAdapter`) keeps the whole
-stream on the array fast path: explicit edge churn patches the cached
-CSR incrementally (:meth:`~repro.graphs.graph.Graph.with_updates`),
+stream on the array fast path: explicit edge churn patches the graph's
+CSR arrays incrementally (:meth:`~repro.graphs.graph.Graph.with_updates`),
 state migration is an O(changed links) pointer reset, and each recovery
 segment runs the kernel's frontier driver *seeded at the event's fault
 sites*, so the kernel absorbs the event at its containment radius

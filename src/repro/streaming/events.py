@@ -10,8 +10,8 @@ concrete ``add_edges``/``remove_edges`` (maintained against a simulated
 copy of the edge set, so consecutive events stay consistent — no
 "remove absent edge" surprises) and perturb events carry concrete
 victim nodes.  Explicit events keep the vectorized engine on its array
-fast paths: an explicit single-edge churn patches the cached CSR
-in-place (:meth:`~repro.graphs.graph.Graph.with_updates`) instead of
+fast paths: an explicit single-edge churn patches the graph's CSR
+arrays (:meth:`~repro.graphs.graph.Graph.with_updates`) instead of
 decoding the whole configuration.
 
 Rates are in events per synchronous round.  Inter-arrival gaps are

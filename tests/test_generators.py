@@ -167,6 +167,44 @@ class TestGeometric:
         assert g.n == 0
 
 
+def _unit_disk_brute_force(pts, radius):
+    """The all-pairs form the cell-list generator must reproduce."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    iu, ju = np.triu_indices(pts.shape[0], k=1)
+    close = dist2[iu, ju] <= radius * radius + 1e-12
+    return frozenset(zip(iu[close].tolist(), ju[close].tolist()))
+
+
+class TestUnitDiskCellList:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_positions_match_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        radius = float(rng.choice([1e-9, 0.01, 0.07, 0.2, 0.5, 2.0]))
+        pts = rng.random((n, 2)) * float(rng.choice([0.1, 1.0, 30.0])) - 0.5
+        g = unit_disk_graph(pts, radius)
+        assert g.nodes == tuple(range(n))
+        assert g.edges == _unit_disk_brute_force(pts, radius)
+
+    @pytest.mark.parametrize("radius", [0.05, 0.1, 0.15, 0.05 * math.sqrt(2)])
+    def test_lattice_points_at_the_radius_and_on_cell_borders(self, radius):
+        # lattice spacing 0.05: many pairs sit exactly at the radius
+        # (up to rounding), and points fall on cell boundaries
+        rng = np.random.default_rng(3)
+        pts = np.round(rng.random((150, 2)) * 20) / 20
+        pts = np.concatenate((pts, pts[:5] + [radius, 0.0], pts[5:10] + [0.0, radius]))
+        g = unit_disk_graph(pts, radius)
+        assert g.edges == _unit_disk_brute_force(pts, radius)
+
+    def test_coincident_and_non_finite_points(self):
+        pts = np.array(
+            [[0.3, 0.3], [0.3, 0.3], [np.inf, 0.0], [np.nan, 1.0], [0.3, 0.4]]
+        )
+        g = unit_disk_graph(pts, 0.1)
+        assert g.edges == frozenset({(0, 1), (0, 4), (1, 4)})
+
+
 class TestFromNetworkx:
     def test_roundtrip(self):
         nxg = nx.cycle_graph(5)

@@ -254,9 +254,10 @@ class TestSpecPickling:
         import pickle
 
         g = cycle_graph(6)
-        g.adjacency_arrays()  # populate the CSR cache
+        g.neighbors(0), g.edges, g.dense_index(), hash(g)  # build the views
         clone = pickle.loads(pickle.dumps(g))
-        assert clone._csr is None
+        assert clone._adj is None and clone._edges is None and clone._pos is None
+        assert clone._hash is None
         assert clone == g
 
 

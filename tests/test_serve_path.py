@@ -185,7 +185,6 @@ def _unmemoised_fingerprint(spec):
 
 def _graphs():
     base = erdos_renyi_graph(30, 0.2, rng=4)
-    base.adjacency_arrays()  # so with_updates patches a cached CSR
     derived = base.with_updates(
         add_nodes=[100, -3], add_edges=[(100, 0), (-3, 100)]
     )

@@ -31,7 +31,7 @@ from repro.streaming import (
 
 
 def _assert_csr_identical(derived: Graph) -> None:
-    """``derived``'s (possibly patched) CSR is byte-identical to the CSR
+    """``derived``'s (patched) CSR is byte-identical to the CSR
     a from-scratch construction of the same graph computes."""
     fresh = Graph(derived.nodes, derived.edges)
     got = derived.adjacency_arrays()
@@ -50,25 +50,20 @@ def _assert_csr_identical(derived: Graph) -> None:
 class TestIncrementalCSR:
     def test_edge_patch_matches_rebuild(self):
         graph = cycle_graph(12)
-        graph.adjacency_arrays()  # populate the cache so updates patch it
         derived = graph.with_updates(add_edges=[(0, 6)], remove_edges=[(2, 3)])
-        assert derived._csr is not None  # patched, not dropped
         _assert_csr_identical(derived)
 
     def test_node_patch_matches_rebuild(self):
         graph = random_tree(10, rng=5)
-        graph.adjacency_arrays()
         derived = graph.with_updates(
             add_nodes=[100, 101],
             add_edges=[(100, 0), (100, 101)],
             remove_nodes=[3],
         )
-        assert derived._csr is not None
         _assert_csr_identical(derived)
 
     def test_noop_toggle_keeps_cache(self):
         graph = cycle_graph(8)
-        graph.adjacency_arrays()
         derived = graph.with_updates(add_edges=[(0, 1)], remove_edges=[(0, 1)])
         _assert_csr_identical(derived)
 
@@ -79,7 +74,6 @@ class TestIncrementalCSR:
         to a from-scratch rebuild at every step."""
         rng = np.random.default_rng(seed)
         graph = random_geometric_graph(24, 0.35, int(rng.integers(1 << 16)))
-        graph.adjacency_arrays()
         next_id = max(graph.nodes) + 1
         for _ in range(40):
             nodes = list(graph.nodes)
@@ -104,15 +98,17 @@ class TestIncrementalCSR:
             elif op == "remove_node" and len(nodes) > 2:
                 victim = int(nodes[int(rng.integers(len(nodes)))])
                 graph = graph.with_updates(remove_nodes=[victim])
-            assert graph._csr is not None, "incremental patch was dropped"
+            assert graph._adj is None, "with_updates built the dict view"
             _assert_csr_identical(graph)
 
-    def test_patch_only_applies_when_cache_exists(self):
-        # without a cached CSR there is nothing to patch; the derived
-        # graph just rebuilds lazily on first kernel construction
+    def test_views_are_not_carried_over(self):
+        # with_updates patches the arrays only: the derived graph builds
+        # its dict and edge-set views on first use, even when the
+        # parent's are already built
         graph = cycle_graph(6)
+        graph.neighbors(0), graph.edges
         derived = graph.with_updates(remove_edges=[(0, 1)])
-        assert derived._csr is None
+        assert derived._adj is None and derived._edges is None
         _assert_csr_identical(derived)
 
 
