@@ -5,8 +5,10 @@ Measures and records, in ``benchmarks/results/BENCH_kernels.json``,
 per-optimization before/after numbers:
 
 * **packed dense stepping** — the from-scratch dense round on an ER
-  graph, legacy layout (int64 state + buffered ``ufunc.at`` scatters)
-  vs the packed kernels (int32/uint8 + ``reduceat`` segment ops).  The
+  graph, legacy layout (int64 state + buffered ``ufunc.at`` scatters
+  over every CSR entry) vs the packed kernels (SMM: int32 state, a
+  reverse-pointer scatter for R1 and the CSR rows of null nodes without
+  a proposer for R2; SIS: uint8 state and ``reduceat``).  The
   acceptance bar here is *no regression*: dense rounds were never the
   bottleneck and must not get slower.
 * **frontier recovery (headline 1)** — the paper's motivating
@@ -85,10 +87,10 @@ def _geomean(values):
 
 # ----------------------------------------------------------------------
 # legacy dense steps: the pre-packing layout, reimplemented exactly —
-# wide int64 state and buffered flat ``ufunc.at`` scatters in place of
-# the packed kernels' reduceat segment operations.  Masks mirror
-# VectorizedSMM.step / VectorizedSIS.step term for term so the
-# before/after runs can be asserted bit-identical.
+# wide int64 state and buffered flat ``ufunc.at`` scatters over every
+# CSR entry.  Their masks are the rules' own, so the before/after runs
+# of VectorizedSMM.step / VectorizedSIS.step can be asserted
+# bit-identical.
 # ----------------------------------------------------------------------
 def _legacy_smm_step(ptr, indptr, indices, row, arange, n):
     sentinel = n
@@ -192,7 +194,7 @@ def _bench_packed_dense(report):
         "smm": {
             "rounds": legacy_rounds,
             "legacy_int64_ufunc_at_rps": round(legacy_rounds / legacy_s, 1),
-            "packed_reduceat_rps": round(packed_rounds / packed_s, 1),
+            "packed_reverse_scatter_rps": round(packed_rounds / packed_s, 1),
             "speedup": round(smm_ratio, 2),
         },
         "sis": {

@@ -95,17 +95,17 @@ def run_kernel(
     initial = _as_configuration(protocol, graph, config)
     budget = max_rounds if max_rounds is not None else _default_round_budget(graph)
     kernel = kernel_cls(graph)
-    state = kernel.encode(initial)
     options = (
         {"rng": rng} if protocol.uses_randomness else {"active_set": active_set}
     )
     recorder = None
     if telemetry:
         res, recorder = telemetry_run(
-            protocol, kernel, state, budget, "vectorized", **options
+            protocol, kernel, kernel.encode(initial), budget, "vectorized", **options
         )
     else:
-        res = kernel.run(state, max_rounds=budget, **options)
+        # the kernel encodes the mapping itself: one validation pass
+        res = kernel.run(initial, max_rounds=budget, **options)
     final = kernel.decode(res.final_state)
     result = RunResult(
         protocol_name=protocol.name,

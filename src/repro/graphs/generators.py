@@ -112,6 +112,10 @@ def random_tree(n: int, rng: RngLike = None) -> Graph:
     return Graph(range(n), edges)
 
 
+#: uniforms per block of :func:`erdos_renyi_graph`'s pair draws (8 MB)
+_ER_BLOCK = 1 << 20
+
+
 def erdos_renyi_graph(
     n: int,
     p: float,
@@ -134,14 +138,22 @@ def erdos_renyi_graph(
         raise GraphError(f"edge probability {p} outside [0, 1]")
     gen = ensure_rng(rng)
 
+    # one uniform per pair (i < j) in row-major order, drawn in blocks
+    # of whole rows: consecutive draws from one generator are one
+    # stream, so the graph is the one-shot draw's, in O(block) memory
+    rows_per_block = max(1, _ER_BLOCK // max(n - 1, 1))
+
     def sample() -> Graph:
-        if n < 2:
-            return Graph(range(n), [])
-        # vectorized pair selection: never materialize all C(n, 2)
-        # pairs in Python (prohibitive for n in the thousands)
-        iu, ju = np.triu_indices(n, k=1)
-        mask = gen.random(iu.shape[0]) < p
-        return Graph(range(n), np.stack((iu[mask], ju[mask]), axis=1))
+        blocks = []
+        for lo in range(0, n - 1, rows_per_block):
+            rows = np.arange(lo, min(lo + rows_per_block, n - 1))
+            starts = np.zeros(rows.size, dtype=np.int64)
+            np.cumsum(n - 1 - rows[:-1], out=starts[1:])
+            hits = np.flatnonzero(gen.random(int(starts[-1]) + n - 1 - rows[-1]) < p)
+            at = np.searchsorted(starts, hits, side="right") - 1
+            blocks.append(np.stack((rows[at], rows[at] + 1 + hits - starts[at]), axis=1))
+        edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+        return Graph(range(n), edges)
 
     g = sample()
     if not connected:

@@ -20,8 +20,9 @@ run:
   order of magnitude slower.
 * :func:`smm_dense_pointers` / :func:`smm_pointer_ok` — SMM pointer
   states as a dense array, and the one SMM pointer check (is each
-  pointer a neighbour?), shared by encode-time validation, the kernel's
-  legitimacy predicate and the convergence monitor.
+  pointer a neighbour?), shared by encode-time validation, raw-array
+  admission, the kernel's legitimacy predicate and the convergence
+  monitor.
 * :class:`KernelBoundary` — validate-in-``encode``, loop-free
   ``decode`` and ``legitimate`` on the dense state.
 * :meth:`FrontierKernel.drive` — the frontier driver: plain runs,
@@ -330,10 +331,12 @@ class FrontierKernel(KernelBoundary):
             ].tolist()
         return row
 
-    def _frontier_sound(self, state: np.ndarray) -> bool:
-        """Whether every guard of ``state`` reads only its closed
-        neighbourhood, so frontier stepping is exact (see :meth:`drive`)."""
-        return True
+    def admit(self, states: np.ndarray) -> None:
+        """Check a raw ``(k, n)`` state matrix entering the kernel past
+        ``encode`` (:meth:`run` and the batch kernels' ``run_batch``);
+        a kernel whose rounds rely on an invariant of its states raises
+        the protocol's :class:`~repro.errors.InvalidConfigurationError`
+        here.  By default any array is stepped as given."""
 
     def drive(
         self,
@@ -429,22 +432,22 @@ class FrontierKernel(KernelBoundary):
     ):
         """Iterate rounds until no rule fires.
 
-        ``config`` may be a ``{node: state}`` mapping or a dense state
-        array; ``None`` is the clean start.  ``active_set=False`` (or a
-        state the frontier argument does not cover) decides every node
-        every round — identical results, kept for benchmarking.
+        ``config`` may be a ``{node: state}`` mapping (validated by
+        ``encode``) or a dense state array (validated by :meth:`admit`);
+        ``None`` is the clean start.  ``active_set=False`` decides every
+        node every round — identical results, kept for benchmarking.
         """
         if config is None:
             state = np.full(self.n, self.CLEAN, dtype=self._dtype)
         elif isinstance(config, np.ndarray):
             state = config.astype(self._dtype, copy=True)
+            self.admit(state[None])
         else:
             state = self.encode(config)
         budget = max_rounds if max_rounds is not None else self.n + 8
         moves_by_rule = dict.fromkeys(self.RULES, 0)
-        full_scan = not (active_set and self._frontier_sound(state))
         stabilized, rounds, state, _ = self.drive(
-            state, budget, moves_by_rule, observer=observer, full_scan=full_scan
+            state, budget, moves_by_rule, observer=observer, full_scan=not active_set
         )
         result = self.Result(
             stabilized, rounds, sum(moves_by_rule.values()), moves_by_rule, state

@@ -12,11 +12,9 @@ round through the single-run kernel's ``(k, n)`` round function
 Equivalence with the single-run kernel (hence, transitively, with the
 reference engine) is pinned by ``tests/test_batch_kernels.py``.
 
-Implementation note (per the HPC guides' broadcasting advice): the
-segmented minima run as ``np.minimum.reduceat`` along the entry axis —
-CSR rows are contiguous segments, so one reduceat per rule replaces the
-buffered flat ``ufunc.at`` scatter, and the pointer matrix is packed to
-:func:`repro.kernels.state_dtype` (int32 for every practical graph).
+The pointer matrix is packed to :func:`repro.kernels.state_dtype` (int32
+for every practical graph).  A round costs O(k·n) plus the CSR rows of
+the null nodes without a proposer (see :meth:`VectorizedSMM.step`).
 """
 
 from __future__ import annotations
@@ -91,12 +89,14 @@ class BatchSMM:
         """Run every row to stabilization (or the shared round budget).
 
         ``configs`` is a sequence of mappings or a prepared (k, n) int
-        matrix.  Already-stabilized rows are frozen (their pointers no
-        longer change), so mixed batches cost only as many rounds as
-        the slowest member.
+        matrix, whose pointers must all be null or edges
+        (:meth:`VectorizedSMM.admit`).  Already-stabilized rows are
+        frozen (their pointers no longer change), so mixed batches cost
+        only as many rounds as the slowest member.
         """
         if isinstance(configs, np.ndarray):
             ptrs = configs.astype(self._dtype, copy=True)
+            self.single.admit(ptrs)
         else:
             ptrs = self.encode_batch(configs)
         k = ptrs.shape[0]

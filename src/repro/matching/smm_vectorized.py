@@ -15,14 +15,18 @@ order equals id order, so "minimum dense index" below is "minimum id",
 matching rules R1/R2 of the reference protocol.
 
 State layout: pointer arrays are packed to the narrowest dtype that fits
-``n`` plus the segmented-minimum sentinel (int32 for every practical
-graph — see :func:`repro.kernels.state_dtype`), and per-row reductions
-run on ``ufunc.reduceat`` over contiguous CSR segments instead of the
-slow buffered ``ufunc.at`` scatter.  The kernel has one full-array round
-function, :meth:`VectorizedSMM.step`, in ``(k, n)`` form (the batch
-kernel steps ``k`` runs through it; single runs pass a ``(1, n)`` view),
-plus the gather and scalar decisions the frontier driver
-(:class:`repro.kernels.FrontierKernel`) picks for small dirty sets.
+``n`` plus the minimum sentinel (int32 for every practical graph — see
+:func:`repro.kernels.state_dtype`).  Every non-null pointer is an edge
+(checked by :meth:`VectorizedSMM.encode` and :meth:`VectorizedSMM.admit`,
+preserved by the rules), so the nodes pointing at ``i`` are exactly its
+proposing neighbours.  The kernel has one full-array round function,
+:meth:`VectorizedSMM.step`, in ``(k, n)`` form (the batch kernel steps
+``k`` runs through it; single runs pass a ``(1, n)`` view): R1 is one
+O(k·n) scatter-min of the pointers onto their targets, R2 reduces the
+CSR rows of the null nodes without a proposer only, and R3 is an O(n)
+target lookup.  The frontier driver
+(:class:`repro.kernels.FrontierKernel`) picks gather and scalar
+decisions for small dirty sets.
 
 Equivalence with the reference engine is pinned by
 ``tests/test_smm_vectorized.py`` on random graphs and random initial
@@ -38,13 +42,13 @@ import numpy as np
 
 from repro.core.configuration import Configuration
 from repro.engine.adapter import telemetry_run  # noqa: F401  (module API)
+from repro.errors import InvalidConfigurationError
 from repro.graphs.graph import Graph
 from repro.kernels import (
     SMM_NULL,
     FrontierKernel,
     csr_entry_positions,
     csr_rows,
-    segment_any,
     segment_min,
     smm_dense_pointers,
     smm_pointer_ok,
@@ -108,6 +112,22 @@ class VectorizedSMM(FrontierKernel):
             self._reject(config)
         return ptr.astype(self._dtype)
 
+    def admit(self, ptrs: np.ndarray) -> None:
+        """Reject a raw ``(k, n)`` pointer matrix unless every non-null
+        pointer is an edge — the invariant :meth:`step` relies on, which
+        the rules preserve — with the protocol's
+        :class:`~repro.errors.InvalidConfigurationError`."""
+        for r, ptr in enumerate(ptrs):
+            bad = (ptr != SMM_NULL) & ~self.pointer_ok(ptr)
+            if bad.any():
+                i = int(np.argmax(bad))
+                p = int(ptr[i])
+                target = int(self._ids[p]) if 0 <= p < self.n else p
+                raise InvalidConfigurationError(
+                    f"row {r}, node {int(self._ids[i])}: "
+                    f"pointer {target!r} is not a neighbour"
+                )
+
     def decode(self, ptr: np.ndarray) -> Configuration:
         """``{node: Pointer}`` configuration from a dense pointer array."""
         if self._lookup is None:
@@ -141,24 +161,49 @@ class VectorizedSMM(FrontierKernel):
 
         Returns ``(new_ptrs, r1, r2, r3)``: the stepped matrix and the
         ``(k, n)`` masks of the nodes that fired each rule.
+
+        Every non-null pointer is an edge (the kernel invariant, checked
+        where a state enters: :meth:`encode` and :meth:`admit`), so
+        the nodes that point at ``i`` are exactly the neighbours that
+        propose to it: R1's minimum proposer is one O(k·n) scatter-min
+        of the pointers onto their targets.  Only R2 reads ``i``'s
+        neighbour list, and only for null nodes with no proposer.
         """
         k, n = ptrs.shape
-        indices = self._indices
-        sentinel = n  # acts as +inf for segmented minima
-
+        sentinel = n  # acts as +inf for minima
+        flat = ptrs.reshape(-1)  # node i of row r sits at r * n + i
         is_null = ptrs < 0
-        # pointer of each CSR entry (np.take beats fancy indexing ~2x)
-        neighbor_ptr = np.take(ptrs, indices, axis=1)
-        # min proposer per node: neighbours j with ptr[j] == me
-        vals = np.where(neighbor_ptr == self._row, indices, sentinel)
-        min_proposer = segment_min(vals, self._indptr, sentinel)
-        # min null neighbour per node
-        vals = np.where(neighbor_ptr < 0, indices, sentinel)
-        min_null = segment_min(vals, self._indptr, sentinel)
-        has_proposer = min_proposer < sentinel
 
-        r1 = is_null & has_proposer
-        r2 = is_null & ~has_proposer & (min_null < sentinel)
+        # R1: min proposer per node, one scatter-min of the pointers
+        # onto their targets
+        sources = np.flatnonzero(~is_null)
+        targets = flat[sources]
+        if k > 1:
+            offset = sources - sources % n
+            targets = targets + offset
+            sources = sources - offset
+        min_proposer = np.full(k * n, sentinel, dtype=ptrs.dtype)
+        np.minimum.at(min_proposer, targets, sources.astype(ptrs.dtype))
+        min_proposer = min_proposer.reshape(k, n)
+        r1 = is_null & (min_proposer < sentinel)
+
+        # R2: min null neighbour, from the CSR rows of the null nodes
+        # without a proposer only
+        lonely = np.flatnonzero(is_null & ~r1)
+        rows = lonely
+        if k > 1:
+            base = lonely - lonely % n
+            rows = lonely - base
+        positions, counts = csr_entry_positions(self._indptr, rows)
+        cols = self._indices[positions]
+        at = cols if k == 1 else np.repeat(base, counts) + cols
+        seg = np.zeros(lonely.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=seg[1:])
+        min_null = segment_min(np.where(flat[at] < 0, cols, sentinel), seg, sentinel)
+        found = min_null < sentinel
+        r2 = np.zeros_like(is_null)
+        r2.reshape(-1)[lonely[found]] = True
+        min_null = min_null[found]
 
         # R3: i -> j, j -> k with k not in {null, i}; the target's
         # pointer is a flat take (row r's entries start at r * n)
@@ -168,10 +213,9 @@ class VectorizedSMM(FrontierKernel):
         target_ptr = np.take(ptrs, safe_target)
         r3 = (~is_null) & (target_ptr >= 0) & (target_ptr != self._arange)
 
-        new_ptrs = ptrs.copy()
-        new_ptrs[r1] = min_proposer[r1]
-        new_ptrs[r2] = min_null[r2]
-        new_ptrs[r3] = SMM_NULL
+        # R1 and R3 fire on disjoint nodes (null / non-null)
+        new_ptrs = np.where(r1, min_proposer, np.where(r3, SMM_NULL, ptrs))
+        new_ptrs[r2] = min_null
         return new_ptrs, r1, r2, r3
 
     def _full_round(self, ptr: np.ndarray):
@@ -183,18 +227,6 @@ class VectorizedSMM(FrontierKernel):
     # ------------------------------------------------------------------
     # frontier decisions
     # ------------------------------------------------------------------
-    def _frontier_sound(self, ptr: np.ndarray) -> bool:
-        """Whether every non-null pointer targets a neighbour.
-
-        Frontier stepping propagates dirtiness through closed
-        neighbourhoods, which is only sound when decisions depend on
-        neighbourhood state alone — i.e. when pointers stay within
-        ``N(i)``.  Valid SMM states satisfy this and the rules preserve
-        it, so one check of the initial array suffices; raw dense input
-        with non-neighbour pointers runs full scans instead.
-        """
-        return not ((ptr >= 0) & ~self.pointer_ok(ptr)).any()
-
     def _gather_round(self, ptr: np.ndarray, rows: np.ndarray):
         """The decisions of ``rows`` against ``ptr``, from their CSR
         entries only."""
@@ -299,9 +331,10 @@ class VectorizedSMM(FrontierKernel):
         is_null = ptr < 0
         safe = np.where(is_null, 0, ptr)  # masked below
         matched = (~is_null) & (ptr[safe] == self._arange)
-        has_suitor = segment_any(
-            ptr[self._indices] == self._row, self._indptr
-        )
+        # every non-null pointer is an edge, so a node is proposed to
+        # iff some pointer targets it
+        has_suitor = np.zeros(self.n, dtype=bool)
+        has_suitor[ptr[~is_null]] = True
         pointing = (~is_null) & ~matched
         return {
             "M": int(matched.sum()),

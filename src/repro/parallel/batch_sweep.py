@@ -174,7 +174,7 @@ def _run_group(
     kernel = kernel_cls(graph)
     single = kernel.single
     start = time.perf_counter()
-    res = kernel.run_batch(kernel.encode_batch(initials), max_rounds=budget)
+    res = kernel.run_batch(initials, max_rounds=budget)
     final = getattr(res, final_attr)
     out: Dict[int, RunResult] = {}
     for row, (index, _spec) in enumerate(members):

@@ -1,13 +1,16 @@
 """Tests for graph generators."""
 
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.errors import GraphError, NotConnectedError
+from repro.graphs import generators
 from repro.graphs.generators import (
+    _connect_components,
     FAMILY_NAMES,
     complete_bipartite_graph,
     complete_graph,
@@ -22,6 +25,7 @@ from repro.graphs.generators import (
     star_graph,
     unit_disk_graph,
 )
+from repro.graphs.graph import Graph
 
 
 class TestDeterministicFamilies:
@@ -128,6 +132,66 @@ class TestErdosRenyi:
         g = erdos_renyi_graph(40, 0.5, rng=3, connected=False)
         expected = 0.5 * 40 * 39 / 2
         assert 0.6 * expected < g.m < 1.4 * expected
+
+
+def _er_one_shot(n, p, seed, *, connected=True, max_tries=200):
+    """``erdos_renyi_graph`` as first written: all C(n, 2) pairs and
+    their uniforms at once (O(n²) memory)."""
+    gen = np.random.default_rng(seed)
+
+    def sample():
+        if n < 2:
+            return Graph(range(n), [])
+        iu, ju = np.triu_indices(n, k=1)
+        mask = gen.random(iu.shape[0]) < p
+        return Graph(range(n), np.stack((iu[mask], ju[mask]), axis=1))
+
+    g = sample()
+    if not connected:
+        return g
+    tries = 0
+    while not g.is_connected() and tries < max_tries:
+        g = sample()
+        tries += 1
+    if not g.is_connected():
+        g = _connect_components(g, gen)
+    return g
+
+
+class TestErdosRenyiBlocks:
+    """The pair uniforms are drawn in blocks of rows from one generator:
+    the same stream, so the same graphs as the one-shot draw."""
+
+    CASES = [
+        (1, 0.5, 0, True),
+        (2, 1.0, 1, True),
+        (7, 0.4, 2, False),
+        (30, 0.1, 3, True),
+        (30, 0.01, 4, True),  # resamples, then bridges components
+        (200, 0.03, 5, False),
+        (1500, 0.003, 6, True),
+    ]
+
+    @pytest.mark.parametrize("block", [3, 64, 1 << 20])
+    @pytest.mark.parametrize("n,p,seed,connected", CASES)
+    def test_edges_equal_one_shot_draw(self, monkeypatch, block, n, p, seed, connected):
+        monkeypatch.setattr(generators, "_ER_BLOCK", block)
+        got = erdos_renyi_graph(n, p, rng=seed, connected=connected, max_tries=5)
+        want = _er_one_shot(n, p, seed, connected=connected, max_tries=5)
+        for a, b in zip(got.adjacency_arrays(), want.adjacency_arrays()):
+            assert np.array_equal(a, b)
+
+    def test_peak_memory_is_not_quadratic(self):
+        # the one-shot draw peaked at ~840 MB here (C(8192, 2) pair
+        # indices and uniforms); blocks of 2**20 uniforms stay near 10 MB
+        tracemalloc.start()
+        try:
+            g = erdos_renyi_graph(8192, 8 / 8192, rng=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 8192 and g.is_connected()
+        assert peak < 64 * 2**20
 
 
 class TestGeometric:
